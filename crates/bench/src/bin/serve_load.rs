@@ -14,9 +14,8 @@
 //! exact workload, and `coarse_throughput`'s single-thread figure from
 //! `results/BENCH_coarse.json` when present.
 //!
-//! Env knobs: `SERVE_LOAD_BASES` (collection size, default 250,000),
-//! `SERVE_LOAD_REQUESTS` (requests per sweep point, default 256), and
-//! `SERVE_LOAD_BATCH_WINDOW_MS` (micro-batch window, default off).
+//! Env knobs: `SERVE_LOAD_BASES` (collection size, default 250,000) and
+//! `SERVE_LOAD_REQUESTS` (requests per sweep point, default 256).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -104,11 +103,6 @@ fn main() {
     banner("serve_load", "nucdb-serve loopback throughput and latency");
     let bases = env_usize("SERVE_LOAD_BASES", 250_000);
     let requests = env_usize("SERVE_LOAD_REQUESTS", 256);
-    // Micro-batching trades latency for parallel evaluation; on a
-    // single-CPU host the window is pure overhead, so it defaults off
-    // here and can be enabled with SERVE_LOAD_BATCH_WINDOW_MS.
-    let batch_window_ms = env_usize("SERVE_LOAD_BATCH_WINDOW_MS", 0);
-    let batch_window = (batch_window_ms > 0).then(|| Duration::from_millis(batch_window_ms as u64));
 
     let coll = collection(0x05E1_10AD, bases);
     let mut db = database(&coll, &DbConfig::default());
@@ -162,19 +156,11 @@ fn main() {
     db.bind_metrics(&registry);
     let config = ServeConfig {
         threads: 4,
-        search_threads: 4,
-        batch_window,
         ..ServeConfig::default()
     };
     let handle = start(("127.0.0.1", 0), db, registry, params, config).expect("start server");
     let addr = handle.addr();
-    match batch_window {
-        Some(w) => println!(
-            "server: {addr} (4 workers, {} ms batch window)",
-            w.as_millis()
-        ),
-        None => println!("server: {addr} (4 workers, batching off)"),
-    }
+    println!("server: {addr} (4 workers)");
 
     // Warm the server path once before timing anything.
     {
@@ -283,14 +269,7 @@ fn main() {
         ("records", Value::Int(coll.records.len() as u64)),
         ("requests_per_point", Value::Int(requests as u64)),
         ("host_cpus", Value::Int(host_cpus as u64)),
-        (
-            "server",
-            Value::Obj(vec![
-                ("threads", Value::Int(4)),
-                ("search_threads", Value::Int(4)),
-                ("batch_window_ms", Value::Int(batch_window_ms as u64)),
-            ]),
-        ),
+        ("server", Value::Obj(vec![("threads", Value::Int(4))])),
         (
             "direct",
             Value::Obj(vec![

@@ -7,11 +7,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use nucdb::{
-    CoarseScratch, Database, FineMode, IndexVariant, RankingScheme, RecordSource, SearchParams,
-    SequenceStore, StorageMode, Strand,
+    CoarseScratch, Database, FineMode, IndexVariant, RankingScheme, SearchParams, SearchTarget,
+    SequenceStore, StorageMode, Strand, INDEX_FILE, STORE_FILE,
 };
-use nucdb_align::calibrate_gumbel;
 use nucdb_index::{build_chunked, Granularity, IndexParams, ListCodec, OnDiskIndex, StopPolicy};
+use nucdb_obs::json::{num, Value};
 use nucdb_obs::{
     Forensics, ForensicsConfig, HistogramSnapshot, MetricsRegistry, TraceSink, ValueSnapshot,
 };
@@ -62,11 +62,10 @@ commands:
              [--slow-log-max-bytes N]
   serve      run a resident HTTP query server over one database
              --db DIR [--live] [--addr HOST:PORT] [--threads N] [--queue-depth N]
-             [--deadline-ms N] [--batch-window MS] [--batch-max N]
-             [--memtable-max-records N] [--max-segments N]
+             [--deadline-ms N] [--memtable-max-records N] [--max-segments N]
              [--compact-bytes-per-sec N]
              [--shard-deadline-ms N] [--shard-hedge-ms MS]
-             [--search-threads N] [--scrub-bytes-per-sec N] [--metrics FILE]
+             [--scrub-bytes-per-sec N] [--metrics FILE]
              [--metrics-format prometheus|json] [--trace FILE] [--trace-sample N]
              [--flight-recorder N] [--slow-ms MS] [--slow-log FILE]
              [--slow-log-max-bytes N]
@@ -224,9 +223,6 @@ available over a sharded root)"
   --threads N        worker threads handling connections (default 4)
   --queue-depth N    admission queue capacity; overflow is shed with 503
   --deadline-ms N    max queue wait before a request is dropped (default 5000)
-  --batch-window MS  micro-batch queries arriving within MS (0 = off)
-  --batch-max N      max queries per micro-batch (default 64)
-  --search-threads N threads per batched search (default 4)
   --metrics FILE     write a final metrics snapshot after draining
   --metrics-format F prometheus (default) or json
   --trace FILE       append one JSON line per sampled query
@@ -269,9 +265,6 @@ drain and exit cleanly."
         _ => return None,
     })
 }
-
-const INDEX_FILE: &str = "index.nucidx";
-const STORE_FILE: &str = "store.nucsto";
 
 /// Heaviest lists shown per strand by `nucdb search --explain`.
 const EXPLAIN_MAX_LISTS: usize = 12;
@@ -647,12 +640,23 @@ fn open_db(dir: &Path) -> Result<Database, Box<dyn Error>> {
     }
     // Fully disk-resident: postings lists and candidate records are both
     // fetched per query, exactly the paper's operating point.
-    let store = nucdb::OnDiskStore::open(&dir.join(STORE_FILE))?;
-    let index = OnDiskIndex::open(&dir.join(INDEX_FILE))?;
-    Ok(Database::from_variants(
-        nucdb::StoreVariant::Disk(store),
-        IndexVariant::Disk(index),
-    ))
+    Ok(Database::open_dir(dir)?)
+}
+
+/// Open a sharded root, warning on stderr about every shard that did
+/// not open (the set still answers, from the others).
+fn open_shards(
+    dir: &Path,
+    config: nucdb::ShardSetConfig,
+    registry: &MetricsRegistry,
+) -> Result<nucdb::ShardSet, Box<dyn Error>> {
+    let set = nucdb::ShardSet::open_root(dir, config, registry)?;
+    for (name, _, records, error) in set.shard_rows() {
+        if let Some(cause) = error {
+            eprintln!("warning: {name} ({records} records) is unavailable: {cause}");
+        }
+    }
+    Ok(set)
 }
 
 /// Shared observability option names for `search`, `bench`, and `serve`.
@@ -938,11 +942,25 @@ pub fn search(raw: &[String]) -> CommandResult {
     params.query_stride = args.get_or("query-stride", params.query_stride)?;
 
     let obs = ObsOptions::parse(&args)?;
-    if nucdb_index::ShardManifest::exists_in(&db_dir) {
-        return search_sharded(&db_dir, &query_path, &params, &args, &obs);
-    }
-    let mut db = open_db(&db_dir)?;
-    let metrics_out = obs.bind(&mut db)?;
+    let (target, metrics_out) = if nucdb_index::ShardManifest::exists_in(&db_dir) {
+        if params.explain {
+            return Err(
+                UsageError("--explain is not supported over a sharded root".to_string()).into(),
+            );
+        }
+        let registry = Arc::new(MetricsRegistry::new());
+        let set = open_shards(&db_dir, nucdb::ShardSetConfig::default(), &registry)?;
+        let metrics_out = obs.metrics.as_ref().map(|(path, json)| MetricsOutput {
+            registry,
+            path: path.clone(),
+            json: *json,
+        });
+        (SearchTarget::Shards(Arc::new(set)), metrics_out)
+    } else {
+        let mut db = open_db(&db_dir)?;
+        let metrics_out = obs.bind(&mut db)?;
+        (SearchTarget::Db(Arc::new(db)), metrics_out)
+    };
     if tabular {
         println!(
             "#query\tsubject\tscore\tstrand\thits{}",
@@ -953,47 +971,63 @@ pub fn search(raw: &[String]) -> CommandResult {
             }
         );
     } else {
-        println!("database: {} records", db.len());
+        match &target {
+            SearchTarget::Db(db) => println!("database: {} records", db.len()),
+            SearchTarget::Shards(set) => println!(
+                "sharded database: {} records across {} shards",
+                set.len(),
+                set.num_shards()
+            ),
+        }
     }
 
-    let mean_len = (db.store().total_bases() / db.len().max(1)).max(1);
     let reader = FastaReader::new(BufReader::new(File::open(&query_path)?));
     let mut scratch = CoarseScratch::new();
     for record in reader {
         let record = record?;
-        let fit = args.flag("evalue").then(|| {
-            calibrate_gumbel(
-                &params.scheme,
-                record.seq.len().max(16),
-                mean_len,
-                48,
-                0xCAFE,
-            )
-        });
+        let fit = args
+            .flag("evalue")
+            .then(|| target.gumbel_fit(&params.scheme, record.seq.len()));
         // The query's FASTA id doubles as the request id, so trace lines
         // and flight-recorder entries are joinable with the output.
-        let outcome = db.search_with_id(&record.seq, &params, &mut scratch, Some(&record.id))?;
+        let answer = target.search(&record.seq, &params, &mut scratch, Some(&record.id))?;
+        let outcome = &answer.outcome;
+        if let Some(coverage) = answer.coverage.filter(|c| !c.is_full()) {
+            let causes: Vec<String> = answer
+                .failures
+                .iter()
+                .map(|f| format!("{}: {}", f.shard, f.error))
+                .collect();
+            eprintln!(
+                "warning: query {} answered by {}/{} shards ({})",
+                record.id,
+                coverage.shards_ok,
+                coverage.shards_total,
+                causes.join("; "),
+            );
+        }
+        let significance = |result: &nucdb::SearchResult| {
+            fit.as_ref().map(|fit| {
+                let target_len = target.record_len(result.record);
+                (
+                    fit.bit_score(result.score),
+                    fit.evalue(record.seq.len(), target_len, result.score),
+                )
+            })
+        };
         if tabular {
             for result in &outcome.results {
-                let strand = match result.strand {
-                    Strand::Forward => '+',
-                    Strand::Reverse => '-',
-                    Strand::Both => '?',
-                };
-                let tail = fit
-                    .as_ref()
-                    .map(|fit| {
-                        let target_len = db.store().record_len(result.record);
-                        format!(
-                            "\t{:.1}\t{:.2e}",
-                            fit.bit_score(result.score),
-                            fit.evalue(record.seq.len(), target_len, result.score)
-                        )
-                    })
+                let tail = significance(result)
+                    .map(|(bits, evalue)| format!("\t{bits:.1}\t{evalue:.2e}"))
                     .unwrap_or_default();
                 println!(
                     "{}\t{}\t{}\t{}\t{}{}",
-                    record.id, result.id, result.score, strand, result.coarse_hits, tail
+                    record.id,
+                    result.id,
+                    result.score,
+                    strand_char(result.strand),
+                    result.coarse_hits,
+                    tail
                 );
             }
             if let Some(plan) = &outcome.explain {
@@ -1004,8 +1038,12 @@ pub fn search(raw: &[String]) -> CommandResult {
             }
             continue;
         }
+        let shards = answer
+            .coverage
+            .map(|c| format!(" from {}/{} shards", c.shards_ok, c.shards_total))
+            .unwrap_or_default();
         println!(
-            "\nquery {} ({} bases): {} answers  [coarse {:.2} ms, fine {:.2} ms, {} lists, {} postings]",
+            "\nquery {} ({} bases): {} answers{shards}  [coarse {:.2} ms, fine {:.2} ms, {} lists, {} postings]",
             record.id,
             record.seq.len(),
             outcome.results.len(),
@@ -1015,30 +1053,17 @@ pub fn search(raw: &[String]) -> CommandResult {
             outcome.stats.postings_decoded,
         );
         for (rank, result) in outcome.results.iter().enumerate() {
-            let strand = match result.strand {
-                Strand::Forward => '+',
-                Strand::Reverse => '-',
-                Strand::Both => '?',
-            };
-            let significance = fit
-                .as_ref()
-                .map(|fit| {
-                    let target_len = db.store().record_len(result.record);
-                    format!(
-                        "  bits {:>7.1}  E {:.2e}",
-                        fit.bit_score(result.score),
-                        fit.evalue(record.seq.len(), target_len, result.score)
-                    )
-                })
+            let tail = significance(result)
+                .map(|(bits, evalue)| format!("  bits {bits:>7.1}  E {evalue:.2e}"))
                 .unwrap_or_default();
             println!(
                 "  {:>3}. {:<14} score {:>6}  strand {}  hits {:>5}{}",
                 rank + 1,
                 result.id,
                 result.score,
-                strand,
+                strand_char(result.strand),
                 result.coarse_hits,
-                significance,
+                tail,
             );
             if let Some(alignment) = &result.alignment {
                 println!(
@@ -1056,157 +1081,23 @@ pub fn search(raw: &[String]) -> CommandResult {
             print!("{}", plan.render_text(EXPLAIN_MAX_LISTS));
         }
     }
-    db.metrics().trace.flush();
-    db.metrics().forensics.flush();
+    if let SearchTarget::Db(db) = &target {
+        db.metrics().trace.flush();
+        db.metrics().forensics.flush();
+    }
     if let Some(out) = &metrics_out {
         out.write()?;
     }
     Ok(())
 }
 
-/// `nucdb search` over a sharded root: scatter-gather per query,
-/// bit-identical to the unsharded answer at full coverage. When shards
-/// fail, the answer degrades to the surviving shards and a warning on
-/// stderr names each failed shard — the query still completes.
-fn search_sharded(
-    db_dir: &Path,
-    query_path: &Path,
-    params: &SearchParams,
-    args: &Args,
-    obs: &ObsOptions,
-) -> CommandResult {
-    if params.explain {
-        return Err(
-            UsageError("--explain is not supported over a sharded root".to_string()).into(),
-        );
+/// The one-character strand column of `search` output.
+fn strand_char(strand: Strand) -> char {
+    match strand {
+        Strand::Forward => '+',
+        Strand::Reverse => '-',
+        Strand::Both => '?',
     }
-    let tabular = args.flag("tabular");
-    let registry = Arc::new(MetricsRegistry::new());
-    let set = nucdb::ShardSet::open_root(db_dir, nucdb::ShardSetConfig::default(), &registry)?;
-    for (name, _, records, error) in set.shard_rows() {
-        if let Some(cause) = error {
-            eprintln!("warning: {name} ({records} records) is unavailable: {cause}");
-        }
-    }
-    if tabular {
-        println!(
-            "#query\tsubject\tscore\tstrand\thits{}",
-            if args.flag("evalue") {
-                "\tbits\tevalue"
-            } else {
-                ""
-            }
-        );
-    } else {
-        println!(
-            "sharded database: {} records across {} shards",
-            set.len(),
-            set.num_shards()
-        );
-    }
-
-    let mean_len = (set.total_bases() as usize / set.len().max(1)).max(1);
-    let reader = FastaReader::new(BufReader::new(File::open(query_path)?));
-    for record in reader {
-        let record = record?;
-        let fit = args.flag("evalue").then(|| {
-            calibrate_gumbel(
-                &params.scheme,
-                record.seq.len().max(16),
-                mean_len,
-                48,
-                0xCAFE,
-            )
-        });
-        let outcome = set.search(&record.seq, params)?;
-        if !outcome.coverage.is_full() {
-            let causes: Vec<String> = outcome
-                .failures
-                .iter()
-                .map(|f| format!("{}: {}", f.shard, f.error))
-                .collect();
-            eprintln!(
-                "warning: query {} answered by {}/{} shards ({})",
-                record.id,
-                outcome.coverage.shards_ok,
-                outcome.coverage.shards_total,
-                causes.join("; "),
-            );
-        }
-        if tabular {
-            for result in &outcome.results {
-                let strand = match result.strand {
-                    Strand::Forward => '+',
-                    Strand::Reverse => '-',
-                    Strand::Both => '?',
-                };
-                let tail = fit
-                    .as_ref()
-                    .map(|fit| {
-                        let target_len = set.record_len(result.record);
-                        format!(
-                            "\t{:.1}\t{:.2e}",
-                            fit.bit_score(result.score),
-                            fit.evalue(record.seq.len(), target_len, result.score)
-                        )
-                    })
-                    .unwrap_or_default();
-                println!(
-                    "{}\t{}\t{}\t{}\t{}{}",
-                    record.id, result.id, result.score, strand, result.coarse_hits, tail
-                );
-            }
-            continue;
-        }
-        println!(
-            "\nquery {} ({} bases): {} answers from {}/{} shards  [coarse {:.2} ms, fine {:.2} ms, {} lists, {} postings]",
-            record.id,
-            record.seq.len(),
-            outcome.results.len(),
-            outcome.coverage.shards_ok,
-            outcome.coverage.shards_total,
-            outcome.stats.coarse_nanos as f64 / 1e6,
-            outcome.stats.fine_nanos as f64 / 1e6,
-            outcome.stats.lists_fetched,
-            outcome.stats.postings_decoded,
-        );
-        for (rank, result) in outcome.results.iter().enumerate() {
-            let strand = match result.strand {
-                Strand::Forward => '+',
-                Strand::Reverse => '-',
-                Strand::Both => '?',
-            };
-            let significance = fit
-                .as_ref()
-                .map(|fit| {
-                    let target_len = set.record_len(result.record);
-                    format!(
-                        "  bits {:>7.1}  E {:.2e}",
-                        fit.bit_score(result.score),
-                        fit.evalue(record.seq.len(), target_len, result.score)
-                    )
-                })
-                .unwrap_or_default();
-            println!(
-                "  {:>3}. {:<14} score {:>6}  strand {}  hits {:>5}{}",
-                rank + 1,
-                result.id,
-                result.score,
-                strand,
-                result.coarse_hits,
-                significance,
-            );
-        }
-    }
-    if let Some((path, json)) = &obs.metrics {
-        MetricsOutput {
-            registry,
-            path: path.clone(),
-            json: *json,
-        }
-        .write()?;
-    }
-    Ok(())
 }
 
 /// `nucdb merge`
@@ -1440,9 +1331,6 @@ pub fn serve(raw: &[String]) -> CommandResult {
         "threads",
         "queue-depth",
         "deadline-ms",
-        "batch-window",
-        "batch-max",
-        "search-threads",
         "scrub-bytes-per-sec",
         "memtable-max-records",
         "max-segments",
@@ -1461,10 +1349,6 @@ pub fn serve(raw: &[String]) -> CommandResult {
     config.threads = args.get_or("threads", config.threads)?;
     config.queue_depth = args.get_or("queue-depth", config.queue_depth)?;
     config.deadline = std::time::Duration::from_millis(args.get_or("deadline-ms", 5_000u64)?);
-    let window_ms: u64 = args.get_or("batch-window", 0)?;
-    config.batch_window = (window_ms > 0).then(|| std::time::Duration::from_millis(window_ms));
-    config.batch_max_queries = args.get_or("batch-max", config.batch_max_queries)?;
-    config.search_threads = args.get_or("search-threads", config.search_threads)?;
     config.scrub_bytes_per_sec = args.get_or("scrub-bytes-per-sec", config.scrub_bytes_per_sec)?;
     config.compact_bytes_per_sec =
         args.get_or("compact-bytes-per-sec", config.compact_bytes_per_sec)?;
@@ -1530,12 +1414,7 @@ pub fn serve(raw: &[String]) -> CommandResult {
             hedge_after: (hedge_ms > 0).then(|| std::time::Duration::from_millis(hedge_ms)),
         };
         let registry = Arc::new(MetricsRegistry::new());
-        let set = nucdb::ShardSet::open_root(&db_dir, shard_config, &registry)?;
-        for (name, _, records, error) in set.shard_rows() {
-            if let Some(cause) = error {
-                eprintln!("warning: {name} ({records} records) is unavailable: {cause}");
-            }
-        }
+        let set = open_shards(&db_dir, shard_config, &registry)?;
         println!(
             "sharded database: {} records across {} shards",
             set.len(),
@@ -1559,14 +1438,10 @@ pub fn serve(raw: &[String]) -> CommandResult {
         nucdb_serve::start(addr.as_str(), db, registry, SearchParams::default(), config)?
     };
     println!(
-        "serving on http://{} ({} workers, queue depth {}, batching {})",
+        "serving on http://{} ({} workers, queue depth {})",
         handle.addr(),
         handle.config().threads,
         handle.config().queue_depth,
-        match handle.config().batch_window {
-            Some(window) => format!("{} ms", window.as_millis()),
-            None => "off".to_string(),
-        },
     );
 
     while !nucdb_serve::termination_requested() {
@@ -1672,202 +1547,280 @@ pub fn stats(raw: &[String]) -> CommandResult {
     Ok(())
 }
 
+/// A database directory's layout, detected from its manifest.
+enum Layout {
+    /// One index/store pair (`nucdb build`).
+    Plain,
+    /// A segment manifest (`nucdb ingest`, `nucdb serve --live`).
+    Live(nucdb_index::Manifest),
+    /// A SHARDS manifest and one directory per shard (`build --shards N`).
+    Sharded(nucdb_index::ShardManifest),
+}
+
+/// One index/store pair of a database directory: the directory itself,
+/// a manifest segment, or a shard directory.
+struct Part {
+    index: PathBuf,
+    store: PathBuf,
+    /// `segment 000003` or `shard-001` (empty for a plain directory).
+    title: String,
+    /// Records the manifest gives the part.
+    records: u32,
+    /// The part's identity in JSON reports: `id` or `shard`.
+    key: (&'static str, Value),
+    /// `stat`'s heading detail: a segment's bytes or a shard's id base.
+    detail: String,
+}
+
+impl Layout {
+    /// Detect `dir`'s layout and load its manifest; the error names the
+    /// manifest that will not load.
+    fn load(dir: &Path) -> Result<Layout, String> {
+        let failed = |what: &str, e: nucdb_index::IndexError| {
+            format!("{what} in {} will not load: {e}", dir.display())
+        };
+        if nucdb_index::Manifest::exists_in(dir) {
+            nucdb_index::Manifest::load(dir)
+                .map(Layout::Live)
+                .map_err(|e| failed("manifest", e))
+        } else if nucdb_index::ShardManifest::exists_in(dir) {
+            nucdb_index::ShardManifest::load(dir)
+                .map(Layout::Sharded)
+                .map_err(|e| failed("SHARDS manifest", e))
+        } else {
+            Ok(Layout::Plain)
+        }
+    }
+
+    /// The directory's index/store pairs, in record-id order.
+    fn parts(&self, dir: &Path) -> Vec<Part> {
+        match self {
+            Layout::Plain => vec![Part {
+                index: dir.join(INDEX_FILE),
+                store: dir.join(STORE_FILE),
+                title: String::new(),
+                records: 0,
+                key: ("", Value::Null),
+                detail: String::new(),
+            }],
+            Layout::Live(manifest) => manifest
+                .segments
+                .iter()
+                .map(|seg| Part {
+                    index: dir.join(seg.index_file()),
+                    store: dir.join(seg.store_file()),
+                    title: format!("segment {:06}", seg.id),
+                    records: seg.records,
+                    key: ("id", num(seg.id)),
+                    detail: format!("{} B", seg.bytes()),
+                })
+                .collect(),
+            Layout::Sharded(manifest) => (0..manifest.shards.len())
+                .map(|i| {
+                    let name = nucdb_index::shard_dir_name(i);
+                    Part {
+                        index: dir.join(&name).join(INDEX_FILE),
+                        store: dir.join(&name).join(STORE_FILE),
+                        title: name.clone(),
+                        records: manifest.shards[i].records,
+                        key: ("shard", Value::Str(name)),
+                        detail: format!("id base {}", manifest.base_of(i)),
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// Files a live directory holds but its manifest does not name.
+    fn orphans(&self, dir: &Path) -> Result<Vec<String>, nucdb_index::IndexError> {
+        match self {
+            Layout::Live(manifest) => manifest.orphans_in(dir),
+            Layout::Plain | Layout::Sharded(_) => Ok(Vec::new()),
+        }
+    }
+
+    /// Error out when a plain directory holds neither file (a manifest's
+    /// parts are checked file by file instead).
+    fn require_files(&self, dir: &Path) -> CommandResult {
+        let missing = |file: &str| !dir.join(file).exists();
+        if matches!(self, Layout::Plain) && missing(INDEX_FILE) && missing(STORE_FILE) {
+            return Err(format!("no index or store files in {}", dir.display()).into());
+        }
+        Ok(())
+    }
+}
+
+impl Part {
+    /// Statistics for the part's files. A plain directory may lack one
+    /// of them; a manifest's parts must have both.
+    fn stat(&self, layout: &Layout) -> Result<nucdb::StatReport, Box<dyn Error>> {
+        let wanted = |path: &Path| !matches!(layout, Layout::Plain) || path.exists();
+        Ok(nucdb::StatReport {
+            index: wanted(&self.index)
+                .then(|| OnDiskIndex::open(&self.index))
+                .transpose()?
+                .map(|index| nucdb::IndexStatReport::from_disk(&index)),
+            store: wanted(&self.store)
+                .then(|| nucdb::OnDiskStore::open(&self.store))
+                .transpose()?
+                .map(|store| nucdb::StoreStatReport::from_disk(&store)),
+        })
+    }
+
+    /// Walk the part's checksums into `report`. Returns 2 when a file
+    /// will not open, 1 when a shard's index disagrees with the SHARDS
+    /// manifest on its record count, 0 otherwise.
+    fn fsck(&self, layout: &Layout, report: &mut nucdb::FsckReport) -> i32 {
+        let (kind, optional) = match layout {
+            Layout::Plain => ("", true),
+            Layout::Live(_) => ("segment ", false),
+            Layout::Sharded(_) => ("shard ", false),
+        };
+        let mut worst = 0;
+        if !optional || self.index.exists() {
+            match OnDiskIndex::open(&self.index) {
+                Ok(index) => {
+                    if matches!(layout, Layout::Sharded(_)) && index.num_records() != self.records {
+                        worst = 1;
+                        eprintln!(
+                            "fsck: {} holds {} records but the SHARDS manifest says {}",
+                            self.title,
+                            index.num_records(),
+                            self.records
+                        );
+                    }
+                    nucdb::fsck_index(&index, report);
+                }
+                Err(e) => {
+                    worst = 2;
+                    eprintln!(
+                        "fsck: {kind}index {} will not open: {e}",
+                        self.index.display()
+                    );
+                }
+            }
+        }
+        if !optional || self.store.exists() {
+            match nucdb::OnDiskStore::open(&self.store) {
+                Ok(store) => nucdb::fsck_store(&store, report),
+                Err(e) => {
+                    worst = 2;
+                    eprintln!(
+                        "fsck: {kind}store {} will not open: {e}",
+                        self.store.display()
+                    );
+                }
+            }
+        }
+        worst
+    }
+}
+
 /// `nucdb stat` — per-index statistics: list-length / bit-width / skew
 /// histograms, skip-table density, codec tier, and bytes by section, as
-/// text (stdout + STAT.txt) and JSON (STAT.json).
+/// text (stdout + STAT.txt) and JSON (STAT.json). A live directory adds
+/// a manifest summary and reports every segment, so per-segment
+/// histograms expose skew between settled and freshly flushed segments;
+/// a sharded root reports every shard, and a shard that will not open is
+/// reported in place instead of aborting the whole report.
 pub fn stat(raw: &[String]) -> CommandResult {
     let args = Args::parse("stat", raw, &["db", "out"], &[])?;
     let db_dir = PathBuf::from(args.required("db")?);
     let out_dir = PathBuf::from(args.get("out").unwrap_or("results"));
 
-    if nucdb_index::Manifest::exists_in(&db_dir) {
-        return stat_live(&db_dir, &out_dir);
-    }
-    if nucdb_index::ShardManifest::exists_in(&db_dir) {
-        return stat_sharded(&db_dir, &out_dir);
-    }
-
-    let index_path = db_dir.join(INDEX_FILE);
-    let store_path = db_dir.join(STORE_FILE);
-    let report = nucdb::StatReport {
-        index: index_path
-            .exists()
-            .then(|| OnDiskIndex::open(&index_path))
-            .transpose()?
-            .map(|index| nucdb::IndexStatReport::from_disk(&index)),
-        store: store_path
-            .exists()
-            .then(|| nucdb::OnDiskStore::open(&store_path))
-            .transpose()?
-            .map(|store| nucdb::StoreStatReport::from_disk(&store)),
+    let layout = Layout::load(&db_dir)?;
+    layout.require_files(&db_dir)?;
+    let orphans = layout.orphans(&db_dir)?;
+    let mut text = match &layout {
+        Layout::Plain => String::new(),
+        Layout::Live(m) => format!(
+            "live database {} (manifest v{})\n  k={} stride={} granularity={:?} codec={:?}\n  \
+             {} segments, {} records, {} B on disk\n",
+            db_dir.display(),
+            m.version,
+            m.k,
+            m.stride,
+            m.granularity,
+            m.codec,
+            m.segments.len(),
+            m.total_records(),
+            m.total_bytes(),
+        ),
+        Layout::Sharded(m) => format!(
+            "sharded database {} (SHARDS v{})\n  k={} stride={} granularity={:?} codec={:?}\n  \
+             {} shards, {} records\n",
+            db_dir.display(),
+            m.version,
+            m.k,
+            m.stride,
+            m.granularity,
+            m.codec,
+            m.shards.len(),
+            m.total_records(),
+        ),
     };
-    if report.index.is_none() && report.store.is_none() {
-        return Err(format!("no index or store files in {}", db_dir.display()).into());
+    if !orphans.is_empty() {
+        text += &format!("  orphaned files (run fsck): {}\n", orphans.join(", "));
     }
 
-    let text = report.render_text();
+    let mut values = Vec::new();
+    for (i, part) in layout.parts(&db_dir).into_iter().enumerate() {
+        let report = part.stat(&layout);
+        if let Layout::Plain = layout {
+            let report = report?;
+            text += &report.render_text();
+            values.push(report.to_value());
+            continue;
+        }
+        text += &format!(
+            "\n== {} ({} records, {}) ==\n",
+            part.title, part.records, part.detail
+        );
+        let mut members = vec![
+            (part.key.0.to_string(), part.key.1),
+            ("records".to_string(), num(u64::from(part.records))),
+        ];
+        if let Layout::Sharded(m) = &layout {
+            members.push(("record_base".to_string(), num(m.base_of(i))));
+        }
+        match report {
+            Ok(report) => {
+                text += &report.render_text();
+                members.push(("report".to_string(), report.to_value()));
+            }
+            Err(e) if matches!(layout, Layout::Sharded(_)) => {
+                text += &format!("shard will not open: {e}\n");
+                members.push(("error".to_string(), Value::Str(e.to_string())));
+            }
+            Err(e) => return Err(e),
+        }
+        values.push(Value::Obj(members));
+    }
+    let doc = match &layout {
+        Layout::Plain => values.remove(0),
+        Layout::Live(m) => Value::Obj(vec![
+            ("manifest_version".to_string(), num(m.version)),
+            ("segment_count".to_string(), num(m.segments.len() as u64)),
+            ("records".to_string(), num(m.total_records())),
+            ("bytes".to_string(), num(m.total_bytes())),
+            (
+                "orphans".to_string(),
+                Value::Arr(orphans.into_iter().map(Value::Str).collect()),
+            ),
+            ("segments".to_string(), Value::Arr(values)),
+        ]),
+        Layout::Sharded(m) => Value::Obj(vec![
+            ("shard_count".to_string(), num(m.shards.len() as u64)),
+            ("records".to_string(), num(m.total_records())),
+            ("shards".to_string(), Value::Arr(values)),
+        ]),
+    };
+
     print!("{text}");
     std::fs::create_dir_all(&out_dir)?;
     let txt_path = out_dir.join("STAT.txt");
     let json_path = out_dir.join("STAT.json");
     std::fs::write(&txt_path, &text)?;
-    let mut rendered = report.to_value().render();
-    rendered.push('\n');
-    std::fs::write(&json_path, rendered)?;
-    println!(
-        "report written to {} and {}",
-        txt_path.display(),
-        json_path.display()
-    );
-    Ok(())
-}
-
-/// `nucdb stat` over a live (manifest-bearing) directory: a manifest
-/// summary plus the full per-segment statistics report, so per-segment
-/// histograms expose skew between settled and freshly flushed segments.
-fn stat_live(db_dir: &Path, out_dir: &Path) -> CommandResult {
-    use nucdb_obs::json::{num, Value};
-
-    let manifest = nucdb_index::Manifest::load(db_dir)?;
-    let mut text = format!(
-        "live database {} (manifest v{})\n  k={} stride={} granularity={:?} codec={:?}\n  \
-         {} segments, {} records, {} B on disk\n",
-        db_dir.display(),
-        manifest.version,
-        manifest.k,
-        manifest.stride,
-        manifest.granularity,
-        manifest.codec,
-        manifest.segments.len(),
-        manifest.total_records(),
-        manifest.total_bytes(),
-    );
-    let orphans = manifest.orphans_in(db_dir)?;
-    if !orphans.is_empty() {
-        text += &format!("  orphaned files (run fsck): {}\n", orphans.join(", "));
-    }
-
-    let mut seg_values = Vec::with_capacity(manifest.segments.len());
-    for seg in &manifest.segments {
-        let report = nucdb::StatReport {
-            index: Some(nucdb::IndexStatReport::from_disk(&OnDiskIndex::open(
-                &db_dir.join(seg.index_file()),
-            )?)),
-            store: Some(nucdb::StoreStatReport::from_disk(
-                &nucdb::OnDiskStore::open(&db_dir.join(seg.store_file()))?,
-            )),
-        };
-        text += &format!(
-            "\n== segment {:06} ({} records, {} B) ==\n",
-            seg.id,
-            seg.records,
-            seg.bytes()
-        );
-        text += &report.render_text();
-        seg_values.push(Value::Obj(vec![
-            ("id".to_string(), num(seg.id)),
-            ("records".to_string(), num(u64::from(seg.records))),
-            ("report".to_string(), report.to_value()),
-        ]));
-    }
-
-    print!("{text}");
-    std::fs::create_dir_all(out_dir)?;
-    let txt_path = out_dir.join("STAT.txt");
-    let json_path = out_dir.join("STAT.json");
-    std::fs::write(&txt_path, &text)?;
-    let doc = Value::Obj(vec![
-        ("manifest_version".to_string(), num(manifest.version)),
-        (
-            "segment_count".to_string(),
-            num(manifest.segments.len() as u64),
-        ),
-        ("records".to_string(), num(manifest.total_records())),
-        ("bytes".to_string(), num(manifest.total_bytes())),
-        (
-            "orphans".to_string(),
-            Value::Arr(orphans.into_iter().map(Value::Str).collect()),
-        ),
-        ("segments".to_string(), Value::Arr(seg_values)),
-    ]);
-    let mut rendered = doc.render();
-    rendered.push('\n');
-    std::fs::write(&json_path, rendered)?;
-    println!(
-        "report written to {} and {}",
-        txt_path.display(),
-        json_path.display()
-    );
-    Ok(())
-}
-
-/// `nucdb stat` over a sharded root: a SHARDS-manifest summary plus the
-/// full statistics report for every shard directory. A shard that will
-/// not open is reported in place (with its manifest-recorded record
-/// count) instead of aborting the whole report.
-fn stat_sharded(db_dir: &Path, out_dir: &Path) -> CommandResult {
-    use nucdb_obs::json::{num, Value};
-
-    let manifest = nucdb_index::ShardManifest::load(db_dir)?;
-    let mut text = format!(
-        "sharded database {} (SHARDS v{})\n  k={} stride={} granularity={:?} codec={:?}\n  \
-         {} shards, {} records\n",
-        db_dir.display(),
-        manifest.version,
-        manifest.k,
-        manifest.stride,
-        manifest.granularity,
-        manifest.codec,
-        manifest.shards.len(),
-        manifest.total_records(),
-    );
-
-    let mut shard_values = Vec::with_capacity(manifest.shards.len());
-    for (i, meta) in manifest.shards.iter().enumerate() {
-        let name = nucdb_index::shard_dir_name(i);
-        let dir = db_dir.join(&name);
-        text += &format!(
-            "\n== {} ({} records, id base {}) ==\n",
-            name,
-            meta.records,
-            manifest.base_of(i)
-        );
-        let mut members = vec![
-            ("shard".to_string(), Value::Str(name.clone())),
-            ("records".to_string(), num(u64::from(meta.records))),
-            ("record_base".to_string(), num(manifest.base_of(i))),
-        ];
-        let opened: Result<nucdb::StatReport, Box<dyn Error>> = (|| {
-            let index = OnDiskIndex::open(&dir.join(INDEX_FILE))?;
-            let store = nucdb::OnDiskStore::open(&dir.join(STORE_FILE))?;
-            Ok(nucdb::StatReport {
-                index: Some(nucdb::IndexStatReport::from_disk(&index)),
-                store: Some(nucdb::StoreStatReport::from_disk(&store)),
-            })
-        })();
-        match opened {
-            Ok(report) => {
-                text += &report.render_text();
-                members.push(("report".to_string(), report.to_value()));
-            }
-            Err(e) => {
-                text += &format!("shard will not open: {e}\n");
-                members.push(("error".to_string(), Value::Str(e.to_string())));
-            }
-        }
-        shard_values.push(Value::Obj(members));
-    }
-
-    print!("{text}");
-    std::fs::create_dir_all(out_dir)?;
-    let txt_path = out_dir.join("STAT.txt");
-    let json_path = out_dir.join("STAT.json");
-    std::fs::write(&txt_path, &text)?;
-    let doc = Value::Obj(vec![
-        ("shard_count".to_string(), num(manifest.shards.len() as u64)),
-        ("records".to_string(), num(manifest.total_records())),
-        ("shards".to_string(), Value::Arr(shard_values)),
-    ]);
     let mut rendered = doc.render();
     rendered.push('\n');
     std::fs::write(&json_path, rendered)?;
@@ -1880,110 +1833,61 @@ fn stat_sharded(db_dir: &Path, out_dir: &Path) -> CommandResult {
 }
 
 /// `nucdb fsck` — walk every checksummed region of the database files
-/// and report all damage found. Returns the process exit code: 0 clean,
-/// 1 payload damage, 2 structural damage (header/TOC unreadable — which
-/// also covers files that refuse to open at all).
+/// and report all damage found. A live directory is walked via its
+/// manifest, flagging files the manifest does not name; a sharded root
+/// walks every shard and cross-checks each shard's record count against
+/// the SHARDS manifest. Returns the process exit code, the worst part's
+/// condition: 0 clean; 1 payload damage, orphans, or a record-count
+/// disagreement; 2 structural damage (header/TOC/manifest unreadable, or
+/// a file that will not open at all).
 pub fn fsck(raw: &[String]) -> Result<i32, Box<dyn Error>> {
     let args = Args::parse("fsck", raw, &["db"], &["json"])?;
     let db_dir = PathBuf::from(args.required("db")?);
-    if nucdb_index::Manifest::exists_in(&db_dir) {
-        return fsck_live(&db_dir, args.flag("json"));
-    }
-    if nucdb_index::ShardManifest::exists_in(&db_dir) {
-        return fsck_sharded(&db_dir, args.flag("json"));
-    }
-    let index_path = db_dir.join(INDEX_FILE);
-    let store_path = db_dir.join(STORE_FILE);
-    if !index_path.exists() && !store_path.exists() {
-        return Err(format!("no index or store files in {}", db_dir.display()).into());
-    }
-
-    let mut report = nucdb::FsckReport::default();
-    let mut unopenable = false;
-    if index_path.exists() {
-        match OnDiskIndex::open(&index_path) {
-            Ok(index) => nucdb::fsck_index(&index, &mut report),
-            Err(e) => {
-                unopenable = true;
-                eprintln!("fsck: index {} will not open: {e}", index_path.display());
-            }
-        }
-    }
-    if store_path.exists() {
-        match nucdb::OnDiskStore::open(&store_path) {
-            Ok(store) => nucdb::fsck_store(&store, &mut report),
-            Err(e) => {
-                unopenable = true;
-                eprintln!("fsck: store {} will not open: {e}", store_path.display());
-            }
-        }
-    }
-
-    if args.flag("json") {
-        println!("{}", report.to_value().render());
-    } else {
-        print!("{}", report.render_text());
-    }
-    Ok(if unopenable { 2 } else { report.exit_code() })
-}
-
-/// `nucdb fsck` over a live (manifest-bearing) directory: verify the
-/// manifest loads, walk every referenced segment's checksums, and flag
-/// files the manifest does not account for. Exit codes: unreadable
-/// manifest or missing/unopenable segment file → 2; checksum damage or
-/// orphaned files → 1; clean → 0.
-fn fsck_live(db_dir: &Path, json: bool) -> Result<i32, Box<dyn Error>> {
-    use nucdb_obs::json::{num, Value};
-
-    let manifest = match nucdb_index::Manifest::load(db_dir) {
-        Ok(manifest) => manifest,
+    let layout = match Layout::load(&db_dir) {
+        Ok(layout) => layout,
         Err(e) => {
-            eprintln!("fsck: manifest in {} will not load: {e}", db_dir.display());
+            eprintln!("fsck: {e}");
             return Ok(2);
         }
     };
-    let mut unopenable = false;
+    layout.require_files(&db_dir)?;
+
     let mut worst = 0;
-    let mut seg_values = Vec::with_capacity(manifest.segments.len());
-    let mut text = format!(
-        "manifest v{}: {} segments, {} records\n",
-        manifest.version,
-        manifest.segments.len(),
-        manifest.total_records(),
-    );
-    for seg in &manifest.segments {
+    let mut text = match &layout {
+        Layout::Plain => String::new(),
+        Layout::Live(m) => format!(
+            "manifest v{}: {} segments, {} records\n",
+            m.version,
+            m.segments.len(),
+            m.total_records(),
+        ),
+        Layout::Sharded(m) => format!(
+            "SHARDS v{}: {} shards, {} records\n",
+            m.version,
+            m.shards.len(),
+            m.total_records(),
+        ),
+    };
+    let mut values = Vec::new();
+    for part in layout.parts(&db_dir) {
         let mut report = nucdb::FsckReport::default();
-        let index_path = db_dir.join(seg.index_file());
-        match OnDiskIndex::open(&index_path) {
-            Ok(index) => nucdb::fsck_index(&index, &mut report),
-            Err(e) => {
-                unopenable = true;
-                eprintln!(
-                    "fsck: segment index {} will not open: {e}",
-                    index_path.display()
-                );
-            }
+        let part_worst = part.fsck(&layout, &mut report).max(report.exit_code());
+        worst = worst.max(part_worst);
+        if let Layout::Plain = layout {
+            text += &report.render_text();
+            values.push(report.to_value());
+            continue;
         }
-        let store_path = db_dir.join(seg.store_file());
-        match nucdb::OnDiskStore::open(&store_path) {
-            Ok(store) => nucdb::fsck_store(&store, &mut report),
-            Err(e) => {
-                unopenable = true;
-                eprintln!(
-                    "fsck: segment store {} will not open: {e}",
-                    store_path.display()
-                );
-            }
-        }
-        worst = worst.max(report.exit_code());
-        text += &format!("== segment {:06} ({} records) ==\n", seg.id, seg.records);
+        text += &format!("== {} ({} records) ==\n", part.title, part.records);
         text += &report.render_text();
-        seg_values.push(Value::Obj(vec![
-            ("id".to_string(), num(seg.id)),
-            ("report".to_string(), report.to_value()),
-        ]));
+        let mut members = vec![(part.key.0.to_string(), part.key.1)];
+        if let Layout::Sharded(_) = layout {
+            members.push(("exit_code".to_string(), num(part_worst as u64)));
+        }
+        members.push(("report".to_string(), report.to_value()));
+        values.push(Value::Obj(members));
     }
-    let orphans = manifest.orphans_in(db_dir)?;
+    let orphans = layout.orphans(&db_dir)?;
     if !orphans.is_empty() {
         worst = worst.max(1);
         text += &format!(
@@ -1993,103 +1897,23 @@ fn fsck_live(db_dir: &Path, json: bool) -> Result<i32, Box<dyn Error>> {
         );
     }
 
-    if json {
-        let doc = Value::Obj(vec![
-            ("manifest_version".to_string(), num(manifest.version)),
-            (
-                "orphans".to_string(),
-                Value::Arr(orphans.into_iter().map(Value::Str).collect()),
-            ),
-            ("segments".to_string(), Value::Arr(seg_values)),
-        ]);
-        println!("{}", doc.render());
-    } else {
-        print!("{text}");
-    }
-    Ok(if unopenable { 2 } else { worst })
-}
-
-/// `nucdb fsck` over a sharded root: verify the SHARDS manifest loads,
-/// walk every shard directory's checksums, and cross-check each shard's
-/// record count against the manifest. The exit code is the *worst*
-/// shard's condition: unreadable manifest or an unopenable shard file →
-/// 2; checksum damage or a record-count disagreement → 1; clean → 0.
-fn fsck_sharded(db_dir: &Path, json: bool) -> Result<i32, Box<dyn Error>> {
-    use nucdb_obs::json::{num, Value};
-
-    let manifest = match nucdb_index::ShardManifest::load(db_dir) {
-        Ok(manifest) => manifest,
-        Err(e) => {
-            eprintln!(
-                "fsck: SHARDS manifest in {} will not load: {e}",
-                db_dir.display()
-            );
-            return Ok(2);
-        }
-    };
-    let mut worst = 0;
-    let mut shard_values = Vec::with_capacity(manifest.shards.len());
-    let mut text = format!(
-        "SHARDS v{}: {} shards, {} records\n",
-        manifest.version,
-        manifest.shards.len(),
-        manifest.total_records(),
-    );
-    for (i, meta) in manifest.shards.iter().enumerate() {
-        let name = nucdb_index::shard_dir_name(i);
-        let dir = db_dir.join(&name);
-        let mut report = nucdb::FsckReport::default();
-        let mut shard_worst = 0;
-        let index_path = dir.join(INDEX_FILE);
-        match OnDiskIndex::open(&index_path) {
-            Ok(index) => {
-                if index.num_records() != meta.records {
-                    shard_worst = shard_worst.max(1);
-                    eprintln!(
-                        "fsck: {} holds {} records but the SHARDS manifest says {}",
-                        name,
-                        index.num_records(),
-                        meta.records
-                    );
-                }
-                nucdb::fsck_index(&index, &mut report);
-            }
-            Err(e) => {
-                shard_worst = 2;
-                eprintln!(
-                    "fsck: shard index {} will not open: {e}",
-                    index_path.display()
-                );
-            }
-        }
-        let store_path = dir.join(STORE_FILE);
-        match nucdb::OnDiskStore::open(&store_path) {
-            Ok(store) => nucdb::fsck_store(&store, &mut report),
-            Err(e) => {
-                shard_worst = 2;
-                eprintln!(
-                    "fsck: shard store {} will not open: {e}",
-                    store_path.display()
-                );
-            }
-        }
-        shard_worst = shard_worst.max(report.exit_code());
-        worst = worst.max(shard_worst);
-        text += &format!("== {} ({} records) ==\n", name, meta.records);
-        text += &report.render_text();
-        shard_values.push(Value::Obj(vec![
-            ("shard".to_string(), Value::Str(name)),
-            ("exit_code".to_string(), num(shard_worst as u64)),
-            ("report".to_string(), report.to_value()),
-        ]));
-    }
-
-    if json {
-        let doc = Value::Obj(vec![
-            ("shard_count".to_string(), num(manifest.shards.len() as u64)),
-            ("exit_code".to_string(), num(worst as u64)),
-            ("shards".to_string(), Value::Arr(shard_values)),
-        ]);
+    if args.flag("json") {
+        let doc = match &layout {
+            Layout::Plain => values.remove(0),
+            Layout::Live(m) => Value::Obj(vec![
+                ("manifest_version".to_string(), num(m.version)),
+                (
+                    "orphans".to_string(),
+                    Value::Arr(orphans.into_iter().map(Value::Str).collect()),
+                ),
+                ("segments".to_string(), Value::Arr(values)),
+            ]),
+            Layout::Sharded(m) => Value::Obj(vec![
+                ("shard_count".to_string(), num(m.shards.len() as u64)),
+                ("exit_code".to_string(), num(worst as u64)),
+                ("shards".to_string(), Value::Arr(values)),
+            ]),
+        };
         println!("{}", doc.render());
     } else {
         print!("{text}");

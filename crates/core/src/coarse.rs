@@ -310,6 +310,16 @@ pub struct CoarseHit {
     pub best_diagonal: i64,
 }
 
+/// The candidate ranking order: score descending, then record id
+/// ascending. Every ranked candidate list uses it — single database,
+/// segments and the shard merge — so their answers agree bit for bit.
+pub(crate) fn candidate_order(a: &CoarseHit, b: &CoarseHit) -> std::cmp::Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .expect("coarse scores are finite")
+        .then(a.record.cmp(&b.record))
+}
+
 /// The result of coarse search, with the cost counters experiments report.
 #[derive(Debug, Clone, Default)]
 pub struct CoarseOutcome {
@@ -852,12 +862,7 @@ pub fn coarse_rank_explain<S: PostingsSource>(
         });
     }
 
-    candidates.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("coarse scores are finite")
-            .then(a.record.cmp(&b.record))
-    });
+    candidates.sort_by(candidate_order);
     candidates.truncate(params.max_candidates);
     outcome.candidates.extend_from_slice(candidates);
     if let Some(ex) = explain {
@@ -1024,12 +1029,7 @@ fn coarse_rank_counts<S: PostingsSource>(
             best_diagonal: 0,
         });
     }
-    candidates.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("coarse scores are finite")
-            .then(a.record.cmp(&b.record))
-    });
+    candidates.sort_by(candidate_order);
     candidates.truncate(params.max_candidates);
     outcome.candidates.extend_from_slice(candidates);
     if let Some(ex) = explain {

@@ -1,6 +1,7 @@
 //! The database engine: sequence store + inverted index + partitioned
 //! query evaluation.
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::time::Instant;
 
@@ -13,7 +14,7 @@ use nucdb_seq::DnaSeq;
 
 use nucdb_obs::{CaptureReason, Forensics, MetricsRegistry, QueryTrace, SpanNode, TraceSink};
 
-use crate::coarse::{coarse_rank_explain, CoarseScratch, PostingsSource};
+use crate::coarse::{coarse_rank_explain, CoarseOutcome, CoarseScratch, PostingsSource};
 use crate::explain::{
     fine_mode_name, ranking_name, CandidateExplain, CoarseExplain, ExplainPlan, StrandExplain,
 };
@@ -21,6 +22,11 @@ use crate::fine::{fine_search_traced, CandidateTiming, FineResult};
 use crate::metrics::SearchMetrics;
 use crate::params::{SearchParams, Strand};
 use crate::store::{OnDiskStore, RecordSource, SequenceStore, StorageMode, StoreVariant};
+
+/// Index file of a plain database directory.
+pub const INDEX_FILE: &str = "index.nucidx";
+/// Sequence store file of a plain database directory.
+pub const STORE_FILE: &str = "store.nucsto";
 
 /// Build-time configuration of a database.
 #[derive(Debug, Clone)]
@@ -211,6 +217,69 @@ pub struct QueryStats {
     pub merge_nanos: u64,
 }
 
+impl QueryStats {
+    /// Add one coarse pass's work counters and sub-stage times. The
+    /// caller adds the coarse wall time and the candidates it passes on
+    /// to fine search.
+    pub(crate) fn add_coarse(&mut self, coarse: &CoarseOutcome) {
+        self.intervals_looked_up += coarse.intervals_looked_up;
+        self.lists_fetched += coarse.lists_fetched;
+        self.postings_decoded += coarse.postings_decoded;
+        self.postings_bytes_read += coarse.postings_bytes_read;
+        self.blocks_decoded += coarse.blocks_decoded;
+        self.blocks_skipped += coarse.blocks_skipped;
+        self.total_hits += coarse.total_hits;
+        self.extract_nanos += coarse.extract_nanos;
+        self.accumulate_nanos += coarse.accumulate_nanos;
+        self.rank_nanos += coarse.rank_nanos;
+    }
+
+    /// Count `n` candidates passed to fine search (one alignment each).
+    pub(crate) fn add_candidates(&mut self, n: usize) {
+        self.candidates += n as u64;
+        self.fine_alignments += n as u64;
+    }
+}
+
+/// The query orientations `strand` asks for, in evaluation order:
+/// forward as given, reverse as the reverse complement.
+pub(crate) fn oriented_strands(query: &DnaSeq, strand: Strand) -> Vec<(Strand, Cow<'_, DnaSeq>)> {
+    let mut strands = Vec::with_capacity(2);
+    if strand != Strand::Reverse {
+        strands.push((Strand::Forward, Cow::Borrowed(query)));
+    }
+    if strand != Strand::Forward {
+        strands.push((Strand::Reverse, Cow::Owned(query.reverse_complement())));
+    }
+    strands
+}
+
+/// Merge per-strand fine results into the ranked answer: per record keep
+/// the better strand, rank by `(score desc, record asc)`, keep
+/// `max_results`, and name each record through `id_of`.
+pub(crate) fn merge_strands(
+    mut merged: Vec<(Strand, FineResult)>,
+    max_results: usize,
+    id_of: impl Fn(u32) -> String,
+) -> Vec<SearchResult> {
+    merged.sort_by(|(_, a), (_, b)| a.record.cmp(&b.record).then(b.score.cmp(&a.score)));
+    merged.dedup_by_key(|(_, r)| r.record);
+    merged.sort_by(|(_, a), (_, b)| b.score.cmp(&a.score).then(a.record.cmp(&b.record)));
+    merged
+        .into_iter()
+        .take(max_results)
+        .map(|(strand, r)| SearchResult {
+            record: r.record,
+            id: id_of(r.record),
+            score: r.score,
+            coarse_score: r.coarse.score,
+            coarse_hits: r.coarse.hits,
+            strand,
+            alignment: r.alignment,
+        })
+        .collect()
+}
+
 /// Results plus cost counters.
 #[derive(Debug, Clone, Default)]
 pub struct SearchOutcome {
@@ -320,6 +389,30 @@ impl Database {
             index,
             metrics: SearchMetrics::disabled(),
         }
+    }
+
+    /// Open a plain database directory ([`INDEX_FILE`] + [`STORE_FILE`],
+    /// as `nucdb build` writes it) fully on disk: postings lists and
+    /// candidate records are both fetched per query. Files that disagree
+    /// on the record count (say, a store copied in from another build)
+    /// are an error, not a database.
+    pub fn open_dir(dir: &Path) -> Result<Database, IndexError> {
+        let index = OnDiskIndex::open(&dir.join(INDEX_FILE))?;
+        let store = OnDiskStore::open(&dir.join(STORE_FILE)).map_err(io_err)?;
+        let (index_records, store_records) = (index.num_records(), RecordSource::len(&store));
+        if index_records as usize != store_records {
+            return Err(IndexError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "{} holds {index_records} records but {} holds {store_records}",
+                    INDEX_FILE, STORE_FILE
+                ),
+            )));
+        }
+        Ok(Database::from_variants(
+            StoreVariant::Disk(store),
+            IndexVariant::Disk(index),
+        ))
     }
 
     /// Persist the index to `path` and reopen it in on-disk mode, so
@@ -449,10 +542,11 @@ impl Database {
         scratch: &mut CoarseScratch,
         stats: &mut QueryStats,
         query_start: Instant,
-        strand_idx: u64,
+        strand: Strand,
         spans: Option<&mut Vec<SpanNode>>,
         explain: Option<&mut Vec<StrandExplain>>,
     ) -> Result<Vec<FineResult>, IndexError> {
+        let strand_idx = u64::from(strand == Strand::Reverse);
         let query_bases = query.representative_bases();
         let mut coarse_explain = explain.is_some().then(CoarseExplain::default);
         let coarse_offset = query_start.elapsed().as_nanos() as u64;
@@ -466,30 +560,12 @@ impl Database {
         )?;
         let coarse_nanos = coarse_start.elapsed().as_nanos() as u64;
         stats.coarse_nanos += coarse_nanos;
-        stats.extract_nanos += coarse.extract_nanos;
-        stats.accumulate_nanos += coarse.accumulate_nanos;
-        stats.rank_nanos += coarse.rank_nanos;
-        stats.intervals_looked_up += coarse.intervals_looked_up;
-        stats.lists_fetched += coarse.lists_fetched;
-        stats.postings_decoded += coarse.postings_decoded;
-        stats.postings_bytes_read += coarse.postings_bytes_read;
-        stats.blocks_decoded += coarse.blocks_decoded;
-        stats.blocks_skipped += coarse.blocks_skipped;
-        stats.total_hits += coarse.total_hits;
-        stats.candidates += coarse.candidates.len() as u64;
-        stats.fine_alignments += coarse.candidates.len() as u64;
+        stats.add_coarse(&coarse);
+        stats.add_candidates(coarse.candidates.len());
 
-        // A record-granularity index reports no diagonals, so banded
-        // fine alignment has nothing to centre on: fall back to full
-        // local alignment (score-only) for correctness.
-        let fine_mode = if self.index.index_params().granularity
-            == nucdb_index::Granularity::Records
-            && matches!(params.fine, crate::fine::FineMode::Banded { .. })
-        {
-            crate::fine::FineMode::Full
-        } else {
-            params.fine
-        };
+        let fine_mode = params
+            .fine
+            .for_granularity(self.index.index_params().granularity);
 
         let fine_offset = query_start.elapsed().as_nanos() as u64;
         let fine_start = Instant::now();
@@ -511,11 +587,7 @@ impl Database {
         // the span builder below re-sorts `timings` by duration.
         if let (Some(strands), Some(coarse_explain)) = (explain, coarse_explain) {
             strands.push(StrandExplain {
-                strand: if strand_idx == 0 {
-                    Strand::Forward
-                } else {
-                    Strand::Reverse
-                },
+                strand,
                 coarse: coarse_explain,
                 fine_mode: fine_mode_name(fine_mode),
                 candidates: timings
@@ -666,38 +738,22 @@ impl Database {
 
         let strands = (|| -> Result<Vec<(Strand, FineResult)>, IndexError> {
             let mut merged: Vec<(Strand, FineResult)> = Vec::new();
-            if params.strand != Strand::Reverse {
-                for r in self.search_strand(
-                    query,
+            for (strand, oriented) in oriented_strands(query, params.strand) {
+                let fine = self.search_strand(
+                    &oriented,
                     params,
                     scratch,
                     &mut stats,
                     query_start,
-                    0,
+                    strand,
                     capture.then_some(&mut spans),
                     want_plan.then_some(&mut strand_plans),
-                )? {
-                    merged.push((Strand::Forward, r));
-                }
-            }
-            if params.strand != Strand::Forward {
-                let reverse = query.reverse_complement();
-                for r in self.search_strand(
-                    &reverse,
-                    params,
-                    scratch,
-                    &mut stats,
-                    query_start,
-                    1,
-                    capture.then_some(&mut spans),
-                    want_plan.then_some(&mut strand_plans),
-                )? {
-                    merged.push((Strand::Reverse, r));
-                }
+                )?;
+                merged.extend(fine.into_iter().map(|r| (strand, r)));
             }
             Ok(merged)
         })();
-        let mut merged = match strands {
+        let merged = match strands {
             Ok(merged) => merged,
             Err(e) => {
                 // Tail sampling: failed queries are always captured,
@@ -707,25 +763,10 @@ impl Database {
             }
         };
 
-        // Per record, keep the better strand.
         let merge_start = Instant::now();
-        merged.sort_by(|(_, a), (_, b)| a.record.cmp(&b.record).then(b.score.cmp(&a.score)));
-        merged.dedup_by_key(|(_, r)| r.record);
-        merged.sort_by(|(_, a), (_, b)| b.score.cmp(&a.score).then(a.record.cmp(&b.record)));
-
-        let results: Vec<SearchResult> = merged
-            .into_iter()
-            .take(params.max_results)
-            .map(|(strand, r)| SearchResult {
-                record: r.record,
-                id: self.store.id(r.record).to_string(),
-                score: r.score,
-                coarse_score: r.coarse.score,
-                coarse_hits: r.coarse.hits,
-                strand,
-                alignment: r.alignment,
-            })
-            .collect();
+        let results = merge_strands(merged, params.max_results, |record| {
+            self.store.id(record).to_string()
+        });
         stats.merge_nanos = merge_start.elapsed().as_nanos() as u64;
         let merge_offset = merge_start.duration_since(query_start).as_nanos() as u64;
         let total_nanos = query_start.elapsed().as_nanos() as u64;
@@ -848,23 +889,10 @@ impl Database {
         queries: &[DnaSeq],
         params: &SearchParams,
     ) -> Result<Vec<SearchOutcome>, IndexError> {
-        self.search_batch_with_ids(queries, None, params)
-    }
-
-    fn search_batch_with_ids(
-        &self,
-        queries: &[DnaSeq],
-        request_ids: Option<&[String]>,
-        params: &SearchParams,
-    ) -> Result<Vec<SearchOutcome>, IndexError> {
         let mut scratch = CoarseScratch::new();
         queries
             .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                let id = request_ids.map(|ids| ids[i].as_str());
-                self.search_with_id(q, params, &mut scratch, id)
-            })
+            .map(|q| self.search_with(q, params, &mut scratch))
             .collect()
     }
 
@@ -881,30 +909,9 @@ impl Database {
         params: &SearchParams,
         num_threads: usize,
     ) -> Result<Vec<SearchOutcome>, IndexError> {
-        self.search_batch_parallel_with_ids(queries, None, params, num_threads)
-    }
-
-    /// [`Database::search_batch_parallel`] with per-query request ids
-    /// (parallel slice, same length as `queries`) threaded into spans,
-    /// trace lines, and flight-recorder entries. Results are identical
-    /// to the id-less form.
-    pub fn search_batch_parallel_with_ids(
-        &self,
-        queries: &[DnaSeq],
-        request_ids: Option<&[String]>,
-        params: &SearchParams,
-        num_threads: usize,
-    ) -> Result<Vec<SearchOutcome>, IndexError> {
-        if let Some(ids) = request_ids {
-            assert_eq!(
-                ids.len(),
-                queries.len(),
-                "request_ids must parallel queries"
-            );
-        }
         let num_threads = num_threads.max(1).min(queries.len().max(1));
         if num_threads <= 1 {
-            return self.search_batch_with_ids(queries, request_ids, params);
+            return self.search_batch(queries, params);
         }
         // Work-stealing by atomic counter; each worker returns its
         // (index, outcome) pairs and the batch is reassembled in order.
@@ -921,11 +928,8 @@ impl Database {
                                 if i >= queries.len() {
                                     break;
                                 }
-                                let id = request_ids.map(|ids| ids[i].as_str());
-                                local.push((
-                                    i,
-                                    self.search_with_id(&queries[i], params, &mut scratch, id),
-                                ));
+                                local
+                                    .push((i, self.search_with(&queries[i], params, &mut scratch)));
                             }
                             local
                         })

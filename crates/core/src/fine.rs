@@ -6,6 +6,7 @@
 //! alignment centred on the diagonal coarse ranking discovered.
 
 use nucdb_align::{banded_sw_score, sw_align, sw_score, sw_score_iupac, Alignment, ScoringScheme};
+use nucdb_index::Granularity;
 use nucdb_seq::{DnaSeq, SeqError};
 
 use crate::coarse::CoarseHit;
@@ -28,6 +29,19 @@ pub enum FineMode {
     /// codes score by set overlap instead of collapsing to representative
     /// bases — the accurate mode for wildcard-heavy records.
     FullIupac,
+}
+
+impl FineMode {
+    /// The mode to run over an index of `granularity`. A
+    /// record-granularity index reports no diagonals, so banded
+    /// alignment has nothing to centre on and falls back to full local
+    /// alignment (score-only).
+    pub(crate) fn for_granularity(self, granularity: Granularity) -> FineMode {
+        match self {
+            FineMode::Banded { .. } if granularity == Granularity::Records => FineMode::Full,
+            mode => mode,
+        }
+    }
 }
 
 impl Default for FineMode {

@@ -60,7 +60,10 @@ pub use coarse::{
     coarse_rank, coarse_rank_explain, coarse_rank_with, CoarseHit, CoarseOutcome, CoarseScratch,
     PostingsSource, RankingScheme,
 };
-pub use engine::{Database, DbConfig, IndexVariant, QueryStats, SearchOutcome, SearchResult};
+pub use engine::{
+    Database, DbConfig, IndexVariant, QueryStats, SearchOutcome, SearchResult, INDEX_FILE,
+    STORE_FILE,
+};
 pub use eval::{average_precision, eleven_point_precision, ground_truth_sw, recall_at};
 pub use explain::{
     CandidateExplain, CoarseExplain, ExplainPlan, ListExplain, SegmentExplain, StrandExplain,
@@ -78,7 +81,7 @@ pub use segment::{
     SegmentStorePart, SegmentedIndex, SegmentedStore,
 };
 pub use shard::{
-    build_sharded_root, open_shard_dir, Coverage, LocalShard, Shard, ShardFailure, ShardSet,
-    ShardSetConfig, ShardWork, ShardedOutcome,
+    build_sharded_root, open_shard_dir, Coverage, LocalShard, SearchTarget, Shard, ShardFailure,
+    ShardSet, ShardSetConfig, ShardWork, ShardedOutcome, TargetOutcome,
 };
 pub use store::{OnDiskStore, RecordSource, SequenceStore, StorageMode, StoreVariant};

@@ -41,6 +41,7 @@
 //! equals the answer of a `ShardSet` over the surviving shards alone.
 //! Only when every shard fails does the query error.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,17 +49,21 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nucdb_index::{
-    shard_dir_name, Granularity, IndexError, IndexParams, OnDiskIndex, ShardManifest, ShardMeta,
-};
+use nucdb_align::{calibrate_gumbel, GumbelFit, ScoringScheme};
+use nucdb_index::{shard_dir_name, Granularity, IndexError, IndexParams, ShardManifest, ShardMeta};
 use nucdb_obs::{Counter, Histogram, MetricsRegistry};
 use nucdb_seq::DnaSeq;
 
-use crate::coarse::{coarse_rank_explain, CoarseHit, CoarseOutcome, CoarseScratch};
-use crate::engine::{io_err, Database, DbConfig, IndexVariant, QueryStats, SearchResult};
+use crate::coarse::{
+    candidate_order, coarse_rank_explain, CoarseHit, CoarseOutcome, CoarseScratch,
+};
+use crate::engine::{
+    io_err, merge_strands, oriented_strands, Database, DbConfig, QueryStats, SearchOutcome,
+    SearchResult, INDEX_FILE, STORE_FILE,
+};
 use crate::fine::{fine_search_traced, FineMode, FineResult};
 use crate::params::{SearchParams, Strand};
-use crate::store::{OnDiskStore, RecordSource, SequenceStore, StoreVariant};
+use crate::store::{RecordSource, SequenceStore};
 
 /// Answer completeness of a sharded query: how many shards contributed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,10 +203,22 @@ impl Shard for LocalShard {
         query_bases: &[nucdb_seq::Base],
         params: &SearchParams,
     ) -> Result<CoarseOutcome, IndexError> {
-        // Coarse results are independent of scratch history, so a fresh
-        // scratch per call costs allocations but nothing in answers.
-        let mut scratch = CoarseScratch::new();
-        coarse_rank_explain(self.db.index(), query_bases, params, &mut scratch, None)
+        thread_local! {
+            // One scratch per thread that runs shard work: each shard's
+            // worker and the hedge worker. Coarse results are
+            // independent of scratch history, so reuse saves only
+            // allocations.
+            static SCRATCH: RefCell<CoarseScratch> = RefCell::new(CoarseScratch::new());
+        }
+        SCRATCH.with(|scratch| {
+            coarse_rank_explain(
+                self.db.index(),
+                query_bases,
+                params,
+                &mut scratch.borrow_mut(),
+                None,
+            )
+        })
     }
 
     fn fine(
@@ -232,9 +249,7 @@ impl Shard for LocalShard {
     }
 
     fn total_bases(&self) -> u64 {
-        (0..self.db.len() as u32)
-            .map(|r| self.db.store().record_len(r) as u64)
-            .sum()
+        self.db.store().total_bases() as u64
     }
 }
 
@@ -428,8 +443,6 @@ impl ShardSet {
         config: ShardSetConfig,
         registry: &MetricsRegistry,
     ) -> Result<ShardSet, IndexError> {
-        // `dead` is interleaved by name order with live shards; simpler:
-        // callers pass slots pre-ordered via `assemble_slots`.
         let mut entries: Vec<ShardEntry> = Vec::new();
         for shard in shards {
             let records = shard.num_records();
@@ -781,27 +794,22 @@ impl ShardSet {
             ));
         }
         let mut stats = QueryStats::default();
-        let mut failures: BTreeMap<usize, String> = BTreeMap::new();
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(err) = &slot.dead {
-                failures.insert(i, err.clone());
-            }
-        }
-        let mut work: Vec<ShardWork> = Vec::new();
-        // (strand, slot, fine result with *global* record id)
-        let mut merged: Vec<(Strand, usize, FineResult)> = Vec::new();
+        let mut failures: BTreeMap<usize, String> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((i, slot.dead.clone()?)))
+            .collect();
+        let mut work: BTreeMap<usize, ShardWork> = BTreeMap::new();
+        // (slot, strand, fine result with *global* record id)
+        let mut merged: Vec<(usize, Strand, FineResult)> = Vec::new();
+        let granularity = self
+            .index_params()
+            .map_or(Granularity::Offsets, |p| p.granularity);
+        let fine_mode = params.fine.for_granularity(granularity);
 
-        let mut strands: Vec<(Strand, DnaSeq)> = Vec::new();
-        if params.strand != Strand::Reverse {
-            strands.push((Strand::Forward, query.clone()));
-        }
-        if params.strand != Strand::Forward {
-            strands.push((Strand::Reverse, query.reverse_complement()));
-        }
-
-        let query_start = Instant::now();
-        for (strand, oriented) in strands {
-            let oriented = Arc::new(oriented);
+        for (strand, oriented) in oriented_strands(query, params.strand) {
+            let oriented = Arc::new(oriented.into_owned());
             let query_bases = Arc::new(oriented.representative_bases());
             let live: Vec<usize> = (0..self.slots.len())
                 .filter(|i| !failures.contains_key(i))
@@ -816,39 +824,28 @@ impl ShardSet {
                 self.run_phase(&live, |_| JobKind::Coarse, &oriented, &query_bases, params);
             stats.coarse_nanos += coarse_start.elapsed().as_nanos() as u64;
 
-            // Gather per-shard candidate lists; merge to the global
-            // top-C exactly as joint coarse ranking would.
+            // Gather per-shard candidate lists under global record ids
+            // and merge to the global top-C exactly as joint coarse
+            // ranking would: shards hold contiguous, ordered id ranges,
+            // so globalised ids keep the joint tie-break.
             let mut global: Vec<(usize, CoarseHit)> = Vec::new();
             for (slot_idx, output) in coarse_outputs.into_iter().enumerate() {
                 let Some(output) = output else { continue };
                 let slot = &self.slots[slot_idx];
                 match output {
                     Ok(PhaseOutput::Coarse(coarse)) => {
-                        stats.intervals_looked_up += coarse.intervals_looked_up;
-                        stats.lists_fetched += coarse.lists_fetched;
-                        stats.postings_decoded += coarse.postings_decoded;
-                        stats.postings_bytes_read += coarse.postings_bytes_read;
-                        stats.blocks_decoded += coarse.blocks_decoded;
-                        stats.blocks_skipped += coarse.blocks_skipped;
-                        stats.total_hits += coarse.total_hits;
-                        stats.extract_nanos += coarse.extract_nanos;
-                        stats.accumulate_nanos += coarse.accumulate_nanos;
-                        stats.rank_nanos += coarse.rank_nanos;
-                        if let Some(w) = work.iter_mut().find(|w| w.shard == slot.name) {
-                            w.postings_bytes_read += coarse.postings_bytes_read;
-                            w.ids_decoded += coarse.postings_decoded;
-                            w.candidates += coarse.candidates.len() as u64;
-                        } else {
-                            work.push(ShardWork {
-                                shard: slot.name.clone(),
-                                postings_bytes_read: coarse.postings_bytes_read,
-                                ids_decoded: coarse.postings_decoded,
-                                candidates: coarse.candidates.len() as u64,
-                            });
-                        }
-                        for hit in coarse.candidates {
-                            global.push((slot_idx, hit));
-                        }
+                        stats.add_coarse(&coarse);
+                        let shard_work = work.entry(slot_idx).or_insert_with(|| ShardWork {
+                            shard: slot.name.clone(),
+                            ..ShardWork::default()
+                        });
+                        shard_work.postings_bytes_read += coarse.postings_bytes_read;
+                        shard_work.ids_decoded += coarse.postings_decoded;
+                        shard_work.candidates += coarse.candidates.len() as u64;
+                        global.extend(coarse.candidates.into_iter().map(|mut hit| {
+                            hit.record += slot.base;
+                            (slot_idx, hit)
+                        }));
                     }
                     Ok(PhaseOutput::Fine(_)) => unreachable!("coarse phase returned fine output"),
                     Err(e) => {
@@ -857,38 +854,16 @@ impl ShardSet {
                     }
                 }
             }
-
-            // The joint candidate order: score desc, global record asc.
-            // Globalised ids preserve the joint tie-break because shards
-            // hold contiguous, ordered id ranges.
-            global.sort_by(|(sa, a), (sb, b)| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .expect("coarse scores are finite")
-                    .then((self.slots[*sa].base + a.record).cmp(&(self.slots[*sb].base + b.record)))
-            });
+            global.sort_by(|(_, a), (_, b)| candidate_order(a, b));
             global.truncate(params.max_candidates);
-            stats.candidates += global.len() as u64;
-            stats.fine_alignments += global.len() as u64;
+            stats.add_candidates(global.len());
 
-            // A record-granularity index reports no diagonals, so banded
-            // fine alignment falls back to full — same rule as the engine.
-            let granularity = self
-                .index_params()
-                .map(|p| p.granularity)
-                .unwrap_or(Granularity::Offsets);
-            let fine_mode = if granularity == Granularity::Records
-                && matches!(params.fine, FineMode::Banded { .. })
-            {
-                FineMode::Full
-            } else {
-                params.fine
-            };
-
-            // Phase 2: fine only on shards owning a global winner.
+            // Phase 2: fine only on shards owning a global winner, over
+            // their shard-local ids.
             let mut per_shard: BTreeMap<usize, Vec<CoarseHit>> = BTreeMap::new();
-            for (slot_idx, hit) in &global {
-                per_shard.entry(*slot_idx).or_default().push(*hit);
+            for (slot_idx, mut hit) in global {
+                hit.record -= self.slots[slot_idx].base;
+                per_shard.entry(slot_idx).or_default().push(hit);
             }
             let fine_targets: Vec<usize> = per_shard.keys().copied().collect();
             let batches: BTreeMap<usize, Arc<Vec<CoarseHit>>> = per_shard
@@ -912,11 +887,11 @@ impl ShardSet {
                 let slot = &self.slots[slot_idx];
                 match output {
                     Ok(PhaseOutput::Fine(results)) => {
-                        for mut r in results {
+                        merged.extend(results.into_iter().map(|mut r| {
                             r.record += slot.base;
                             r.coarse.record += slot.base;
-                            merged.push((strand, slot_idx, r));
-                        }
+                            (slot_idx, strand, r)
+                        }));
                     }
                     Ok(PhaseOutput::Coarse(_)) => unreachable!("fine phase returned coarse output"),
                     Err(e) => {
@@ -941,39 +916,16 @@ impl ShardSet {
 
         // A shard that failed any phase contributes nothing: drop even
         // results it returned for other strands/phases, so a degraded
-        // answer equals a clean answer over the surviving shards.
+        // answer equals a clean answer over the surviving shards. The
+        // rest merge exactly as the engine's strands do.
         let merge_start = Instant::now();
-        merged.retain(|(_, slot_idx, _)| !failures.contains_key(slot_idx));
-
-        // Strand merge: exactly the engine's sequence — best strand per
-        // record, then (score desc, record asc).
-        merged.sort_by(|(_, _, a), (_, _, b)| a.record.cmp(&b.record).then(b.score.cmp(&a.score)));
-        merged.dedup_by_key(|(_, _, r)| r.record);
-        merged.sort_by(|(_, _, a), (_, _, b)| b.score.cmp(&a.score).then(a.record.cmp(&b.record)));
-
-        let results: Vec<SearchResult> = merged
+        let merged = merged
             .into_iter()
-            .take(params.max_results)
-            .map(|(strand, slot_idx, r)| {
-                let slot = &self.slots[slot_idx];
-                let local = r.record - slot.base;
-                SearchResult {
-                    record: r.record,
-                    id: slot
-                        .shard
-                        .as_ref()
-                        .map(|s| s.record_id(local))
-                        .unwrap_or_default(),
-                    score: r.score,
-                    coarse_score: r.coarse.score,
-                    coarse_hits: r.coarse.hits,
-                    strand,
-                    alignment: r.alignment,
-                }
-            })
+            .filter(|(slot_idx, _, _)| !failures.contains_key(slot_idx))
+            .map(|(_, strand, r)| (strand, r))
             .collect();
+        let results = merge_strands(merged, params.max_results, |record| self.record_id(record));
         stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-        let _ = query_start; // total time is the caller's to observe
 
         let coverage = Coverage {
             shards_ok: shards_total - failures.len(),
@@ -993,7 +945,7 @@ impl ShardSet {
                     error,
                 })
                 .collect(),
-            work,
+            work: work.into_values().collect(),
         })
     }
 }
@@ -1010,12 +962,105 @@ impl Drop for ShardSet {
     }
 }
 
-/// Open one shard directory (`index.nucidx` + `store.nucsto`) as a
-/// [`LocalShard`].
+/// The one query path over every layout: a single database (plain, or a
+/// live snapshot) or a shard set. The CLI and the server both answer
+/// through it, so coverage reporting and the e-value calibration are
+/// written once.
+#[derive(Clone)]
+pub enum SearchTarget {
+    /// One database.
+    Db(Arc<Database>),
+    /// A scatter-gather shard set.
+    Shards(Arc<ShardSet>),
+}
+
+/// One query's answer from a [`SearchTarget`].
+#[derive(Debug, Clone)]
+pub struct TargetOutcome {
+    /// The engine-shaped answer.
+    pub outcome: SearchOutcome,
+    /// How many shards contributed, when a shard set answered.
+    pub coverage: Option<Coverage>,
+    /// Why non-contributing shards failed (empty at full coverage).
+    pub failures: Vec<ShardFailure>,
+}
+
+impl SearchTarget {
+    /// Evaluate one query. A database query reuses `scratch` and tags
+    /// its spans, trace lines and flight-recorder entries with
+    /// `request_id`; a shard set's workers own their scratch, and it has
+    /// no per-database forensics.
+    pub fn search(
+        &self,
+        query: &DnaSeq,
+        params: &SearchParams,
+        scratch: &mut CoarseScratch,
+        request_id: Option<&str>,
+    ) -> Result<TargetOutcome, IndexError> {
+        Ok(match self {
+            SearchTarget::Db(db) => TargetOutcome {
+                outcome: db.search_with_id(query, params, scratch, request_id)?,
+                coverage: None,
+                failures: Vec::new(),
+            },
+            SearchTarget::Shards(set) => {
+                let sharded = set.search(query, params)?;
+                TargetOutcome {
+                    outcome: SearchOutcome {
+                        results: sharded.results,
+                        stats: sharded.stats,
+                        explain: None,
+                    },
+                    coverage: Some(sharded.coverage),
+                    failures: sharded.failures,
+                }
+            }
+        })
+    }
+
+    /// Records in the id space (a shard set counts dead shards too).
+    pub fn len(&self) -> usize {
+        match self {
+            SearchTarget::Db(db) => db.len(),
+            SearchTarget::Shards(set) => set.len(),
+        }
+    }
+
+    /// Is the target empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total stored bases (a shard set counts live shards only).
+    pub fn total_bases(&self) -> u64 {
+        match self {
+            SearchTarget::Db(db) => db.store().total_bases() as u64,
+            SearchTarget::Shards(set) => set.total_bases(),
+        }
+    }
+
+    /// Length of `record` in bases (0 for a record on a dead shard).
+    pub fn record_len(&self, record: u32) -> usize {
+        match self {
+            SearchTarget::Db(db) => db.store().record_len(record),
+            SearchTarget::Shards(set) => set.record_len(record),
+        }
+    }
+
+    /// The Gumbel fit that turns scores of a `query_len`-base query into
+    /// bit scores and e-values, calibrated against the mean record
+    /// length. A shard set's mean spans the manifest's record count, so
+    /// at full coverage it equals the joint build's.
+    pub fn gumbel_fit(&self, scheme: &ScoringScheme, query_len: usize) -> GumbelFit {
+        let mean_len = (self.total_bases() as usize / self.len().max(1)).max(1);
+        calibrate_gumbel(scheme, query_len.max(16), mean_len, 48, 0xCAFE)
+    }
+}
+
+/// Open one shard directory (a plain database directory, see
+/// [`Database::open_dir`]) as a [`LocalShard`].
 pub fn open_shard_dir(dir: &Path, name: &str) -> Result<Arc<dyn Shard>, IndexError> {
-    let index = OnDiskIndex::open(&dir.join("index.nucidx"))?;
-    let store = OnDiskStore::open(&dir.join("store.nucsto")).map_err(io_err)?;
-    let db = Database::from_variants(StoreVariant::Disk(store), IndexVariant::Disk(index));
+    let db = Database::open_dir(dir)?;
     Ok(Arc::new(LocalShard::new(name, db)) as Arc<dyn Shard>)
 }
 
@@ -1091,8 +1136,8 @@ fn build_shard_dir(
         builder.add_record(&seq.representative_bases());
         store.add(id, &seq);
     }
-    let index_path = dir.join("index.nucidx");
-    let store_path = dir.join("store.nucsto");
+    let index_path = dir.join(INDEX_FILE);
+    let store_path = dir.join(STORE_FILE);
     nucdb_index::write_index(&builder.finish(), &index_path)?;
     store.write_to(&store_path).map_err(io_err)?;
     let index_bytes = std::fs::metadata(&index_path)?.len();

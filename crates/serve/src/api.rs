@@ -16,7 +16,7 @@
 
 use std::io::Cursor;
 
-use nucdb::{SearchOutcome, SearchParams, Strand};
+use nucdb::{Coverage, SearchOutcome, SearchParams, ShardFailure, Strand};
 use nucdb_obs::json::{num, Value};
 use nucdb_seq::{DnaSeq, FastaReader};
 
@@ -329,6 +329,29 @@ pub fn outcome_to_json(
         members.push(("plan".to_string(), plan.to_value()));
     }
     Value::Obj(members)
+}
+
+/// Render a shard set's per-query `coverage` object: how many shards
+/// answered, and why the others did not.
+pub fn coverage_to_json(coverage: &Coverage, failures: &[ShardFailure]) -> Value {
+    let failures = failures
+        .iter()
+        .map(|failure| {
+            Value::Obj(vec![
+                ("shard".to_string(), Value::Str(failure.shard.clone())),
+                ("error".to_string(), Value::Str(failure.error.clone())),
+            ])
+        })
+        .collect();
+    Value::Obj(vec![
+        ("shards_ok".to_string(), num(coverage.shards_ok as u64)),
+        (
+            "shards_total".to_string(),
+            num(coverage.shards_total as u64),
+        ),
+        ("fraction".to_string(), Value::Num(coverage.fraction())),
+        ("failures".to_string(), Value::Arr(failures)),
+    ])
 }
 
 /// Render the whole response document. The request id is echoed as a

@@ -1,5 +1,5 @@
 //! The server proper: acceptor, bounded admission queue, worker pool,
-//! optional micro-batching collector, and graceful shutdown.
+//! and graceful shutdown.
 //!
 //! # Threading model
 //!
@@ -13,35 +13,31 @@
 //! keep-alive request loop to completion. Workers never spawn threads
 //! per connection: concurrency is bounded by `threads + queue_depth`.
 //!
-//! With a batching window configured, workers hand `/search` query
-//! batches to a single **collector** thread that coalesces everything
-//! arriving within the window into one
-//! [`Database::search_batch_parallel`] call (grouped by identical
-//! parameters, so results stay bit-identical to sequential evaluation).
+//! A `/search` request is answered on the worker that read it: one loop
+//! over its queries through [`SearchTarget::search`], whatever the
+//! storage layout — a static database, a live snapshot, or a shard set
+//! (whose answers add a `coverage` object).
 //!
 //! Shutdown: a flag flips, the acceptor is woken by a self-connection
 //! and exits, the queue closes (already-admitted connections drain),
-//! workers finish and exit, the collector drains its pending batches,
-//! and the trace sink is flushed. No request that was admitted is
-//! abandoned.
+//! workers finish and exit, and the trace sink is flushed. No request
+//! that was admitted is abandoned.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nucdb::{
-    build_info, CoarseScratch, Database, IndexVariant, LiveDatabase, RecordSource, SearchOutcome,
-    SearchParams, ShardSet, ShardedOutcome,
+    build_info, CoarseScratch, Database, IndexVariant, LiveDatabase, SearchParams, SearchTarget,
+    ShardSet,
 };
-use nucdb_align::calibrate_gumbel;
 use nucdb_obs::json::{num, Value};
 use nucdb_obs::{Counter, FlightEntry, Gauge, MetricsRegistry};
-use nucdb_seq::DnaSeq;
 
-use crate::api::{self, SearchRequest, Significance};
+use crate::api::{self, Significance};
 use crate::http::{self, Limits, Method, Request, Response};
 use crate::metrics::HttpMetrics;
 use crate::queue::BoundedQueue;
@@ -56,14 +52,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Maximum queue wait before a request is dropped at dequeue.
     pub deadline: Duration,
-    /// Micro-batching window; `None` evaluates queries directly on the
-    /// worker thread.
-    pub batch_window: Option<Duration>,
-    /// Stop collecting a batch once this many queries are pending, even
-    /// if the window has not elapsed.
-    pub batch_max_queries: usize,
-    /// Threads used inside one batched `search_batch_parallel` call.
-    pub search_threads: usize,
     /// Maximum queries accepted in one `/search` request.
     pub max_queries_per_request: usize,
     /// Idle timeout on a keep-alive connection.
@@ -84,9 +72,6 @@ impl Default for ServeConfig {
             threads: 4,
             queue_depth: 64,
             deadline: Duration::from_secs(5),
-            batch_window: None,
-            batch_max_queries: 64,
-            search_threads: 4,
             max_queries_per_request: 256,
             keep_alive_timeout: Duration::from_secs(5),
             limits: Limits::default(),
@@ -136,21 +121,18 @@ fn request_id_for(request: &Request) -> String {
         .unwrap_or_else(generate_request_id)
 }
 
-/// Where queries come from: a fixed database, or a live (ingesting)
-/// one whose query snapshot is re-fetched per request.
+/// Where queries come from: a target fixed for the server's lifetime,
+/// or a live (ingesting) database whose query snapshot is re-fetched per
+/// request.
 enum DbSource {
-    /// Immutable database, shared read-only for the server's lifetime.
-    Static(Arc<Database>),
+    /// An immutable database or a shard set, shared read-only.
+    Fixed(SearchTarget),
     /// Live database: inserts arrive via `POST /insert`; every request
     /// snapshots the current segmented view.
     Live(Arc<LiveDatabase>),
-    /// Sharded database: every query scatters across the set's per-shard
-    /// workers and gathers one globally merged answer. Responses carry a
-    /// `coverage` object and degrade to partial answers when shards fail.
-    Sharded(Arc<ShardSet>),
 }
 
-/// Everything the acceptor, workers, and collector share.
+/// Everything the acceptor and workers share.
 struct Shared {
     source: DbSource,
     registry: Arc<MetricsRegistry>,
@@ -158,7 +140,6 @@ struct Shared {
     defaults: SearchParams,
     config: ServeConfig,
     shutdown: AtomicBool,
-    batcher: Option<Batcher>,
     started: Instant,
     scrub: ScrubState,
     /// `nucdb_flight_recent_entries`: occupancy of the recent ring,
@@ -171,17 +152,23 @@ struct Shared {
 }
 
 impl Shared {
-    /// The database to answer this request from. Static mode hands back
-    /// the one shared instance; live mode snapshots the current
-    /// segmented view (cheap: one `RwLock` read + `Arc` clone), which
-    /// stays consistent for the whole request even as inserts land.
-    fn db(&self) -> Arc<Database> {
+    /// What to answer this request from. A fixed target is shared as
+    /// is; live mode snapshots the current segmented view (cheap: one
+    /// `RwLock` read + `Arc` clone), which stays consistent for the
+    /// whole request even as inserts land.
+    fn target(&self) -> SearchTarget {
         match &self.source {
-            DbSource::Static(db) => Arc::clone(db),
-            DbSource::Live(live) => live.snapshot(),
-            // Every call site branches on `sharded()` first: a shard set
-            // has no single-database view to hand back.
-            DbSource::Sharded(_) => unreachable!("sharded mode has no single-database view"),
+            DbSource::Fixed(target) => target.clone(),
+            DbSource::Live(live) => SearchTarget::Db(live.snapshot()),
+        }
+    }
+
+    /// The database behind this request's target; `None` for a shard
+    /// set, which has no single database (nor flight recorder).
+    fn db(&self) -> Option<Arc<Database>> {
+        match self.target() {
+            SearchTarget::Db(db) => Some(db),
+            SearchTarget::Shards(_) => None,
         }
     }
 
@@ -189,15 +176,7 @@ impl Shared {
     fn live(&self) -> Option<&Arc<LiveDatabase>> {
         match &self.source {
             DbSource::Live(live) => Some(live),
-            DbSource::Static(_) | DbSource::Sharded(_) => None,
-        }
-    }
-
-    /// The shard set, when serving in sharded mode.
-    fn sharded(&self) -> Option<&Arc<ShardSet>> {
-        match &self.source {
-            DbSource::Sharded(set) => Some(set),
-            DbSource::Static(_) | DbSource::Live(_) => None,
+            DbSource::Fixed(_) => None,
         }
     }
 }
@@ -210,7 +189,6 @@ pub struct ServerHandle {
     queue: Arc<BoundedQueue<TcpStream>>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    collector: Option<JoinHandle<()>>,
     scrubber: Option<JoinHandle<()>>,
     compactor: Option<JoinHandle<()>>,
 }
@@ -250,10 +228,10 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, drain every admitted
-    /// connection and pending batch, join all threads, flush the trace
-    /// sink. Returns once the server is fully stopped, handing back the
-    /// metrics registry (now quiescent) so the caller can write a final
-    /// snapshot that includes the drained tail.
+    /// connection, join all threads, flush the trace sink. Returns once
+    /// the server is fully stopped, handing back the metrics registry
+    /// (now quiescent) so the caller can write a final snapshot that
+    /// includes the drained tail.
     pub fn shutdown(mut self) -> Option<Arc<MetricsRegistry>> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The acceptor blocks in accept(); a throwaway connection wakes
@@ -267,14 +245,6 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Workers are done, so no new batch jobs can arrive: drain the
-        // collector.
-        if let Some(batcher) = &self.shared.batcher {
-            batcher.close();
-        }
-        if let Some(collector) = self.collector.take() {
-            let _ = collector.join();
-        }
         // The scrubber and compactor poll the shutdown flag between
         // units of work and inside every throttle sleep, so these joins
         // are prompt.
@@ -284,8 +254,7 @@ impl ServerHandle {
         if let Some(compactor) = self.compactor.take() {
             let _ = compactor.join();
         }
-        if self.shared.sharded().is_none() {
-            let db = self.shared.db();
+        if let Some(db) = self.shared.db() {
             db.metrics().trace.flush();
             db.metrics().forensics.flush();
         }
@@ -309,7 +278,7 @@ pub fn start(
 ) -> std::io::Result<ServerHandle> {
     start_source(
         addr,
-        DbSource::Static(Arc::new(db)),
+        DbSource::Fixed(SearchTarget::Db(Arc::new(db))),
         Arc::new(registry),
         defaults,
         config,
@@ -341,19 +310,18 @@ pub fn start_live(
 /// results and `coverage < 1` instead of a 500 — only a query *no*
 /// shard could answer errors. The registry must be the one the shard
 /// set was assembled with, so the per-shard `nucdb_shard_*` families
-/// land in this server's `/metrics` exposition. Micro-batching is
-/// forced off (the shard workers are the intra-query parallelism) and
-/// the scrubber is skipped (`nucdb fsck` audits sharded roots offline),
-/// so readiness is immediate.
+/// land in this server's `/metrics` exposition. The scrubber is skipped
+/// (`nucdb fsck` audits sharded roots offline), so readiness is
+/// immediate.
 pub fn start_sharded(
     addr: impl ToSocketAddrs,
     shards: Arc<ShardSet>,
     registry: Arc<MetricsRegistry>,
     defaults: SearchParams,
-    mut config: ServeConfig,
+    config: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    config.batch_window = None;
-    start_source(addr, DbSource::Sharded(shards), registry, defaults, config)
+    let source = DbSource::Fixed(SearchTarget::Shards(shards));
+    start_source(addr, source, registry, defaults, config)
 }
 
 fn start_source(
@@ -367,12 +335,17 @@ fn start_source(
     let addr = listener.local_addr()?;
     let metrics = HttpMetrics::new(&registry);
     build_info::register(&registry);
-    let batcher = config.batch_window.map(|_| Batcher::new());
     // The scrubber walks one fixed pair of on-disk files; a live
-    // database's segment set changes underneath it, so live mode skips
-    // it (per-segment checksums still verify on every query read).
-    let scrub_enabled = config.scrub_bytes_per_sec > 0 && matches!(source, DbSource::Static(_));
-    let scrub = ScrubState::new(&registry, scrub_enabled);
+    // database's segment set changes underneath it and a shard set has
+    // one pair per shard, so only a static database is scrubbed (live
+    // per-segment checksums still verify on every query read).
+    let scrub_db = match &source {
+        DbSource::Fixed(SearchTarget::Db(db)) if config.scrub_bytes_per_sec > 0 => {
+            Some(Arc::clone(db))
+        }
+        _ => None,
+    };
+    let scrub = ScrubState::new(&registry, scrub_db.is_some());
     let flight_recent_entries = registry.gauge(
         "nucdb_flight_recent_entries",
         "Entries currently retained in the flight recorder's recent ring",
@@ -392,7 +365,6 @@ fn start_source(
         defaults,
         config,
         shutdown: AtomicBool::new(false),
-        batcher,
         started: Instant::now(),
         scrub,
         flight_recent_entries,
@@ -417,34 +389,21 @@ fn start_source(
                 .spawn(move || worker_loop(&shared, &queue))
         })
         .collect::<std::io::Result<Vec<_>>>()?;
-    let collector = if shared.batcher.is_some() {
-        let shared = Arc::clone(&shared);
-        Some(
-            std::thread::Builder::new()
-                .name("nucdb-batch".to_string())
-                .spawn(move || collector_loop(&shared))?,
-        )
-    } else {
-        None
-    };
-    let scrubber = if scrub_enabled {
-        let shared = Arc::clone(&shared);
-        Some(
+    let scrubber = scrub_db
+        .map(|db| {
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("nucdb-scrub".to_string())
                 .spawn(move || {
-                    let db = shared.db();
                     scrub_loop(
                         &db,
                         &shared.scrub,
                         &shared.shutdown,
                         shared.config.scrub_bytes_per_sec,
                     );
-                })?,
-        )
-    } else {
-        None
-    };
+                })
+        })
+        .transpose()?;
     let compactor = match (&shared.source, shared.config.compact_bytes_per_sec) {
         (DbSource::Live(live), budget) if budget > 0 => {
             let live = Arc::clone(live);
@@ -464,7 +423,6 @@ fn start_source(
         queue,
         acceptor: Some(acceptor),
         workers,
-        collector,
         scrubber,
         compactor,
     })
@@ -642,26 +600,18 @@ fn route(
             response
         }
         (Method::Get, "/stats") => Response::ok().json(stats_json(shared).render()),
-        (Method::Get, "/debug/queries") => match shared.sharded() {
-            // Per-shard flight recorders are not aggregated across the
-            // set; answer an empty ring rather than erroring.
-            Some(_) => Response::ok().json(debug_json(Vec::new(), 0).render()),
-            None => {
-                let db = shared.db();
-                let forensics = &db.metrics().forensics;
-                Response::ok()
-                    .json(debug_json(forensics.recent(), forensics.recent_capacity()).render())
-            }
-        },
-        (Method::Get, "/debug/slow") => match shared.sharded() {
-            Some(_) => Response::ok().json(debug_json(Vec::new(), 0).render()),
-            None => {
-                let db = shared.db();
-                let forensics = &db.metrics().forensics;
-                Response::ok()
-                    .json(debug_json(forensics.slow(), forensics.slow_capacity()).render())
-            }
-        },
+        (Method::Get, path @ ("/debug/queries" | "/debug/slow")) => {
+            // A shard set has no flight recorder to read: its ring is
+            // empty rather than an error.
+            let doc = match shared.db() {
+                Some(db) if path == "/debug/slow" => {
+                    debug_json(db.forensics().slow(), db.forensics().slow_capacity())
+                }
+                Some(db) => debug_json(db.forensics().recent(), db.forensics().recent_capacity()),
+                None => debug_json(Vec::new(), 0),
+            };
+            Response::ok().json(doc.render())
+        }
         (Method::Post, "/search") => search_endpoint(shared, request, request_id, scratch),
         (Method::Post, "/insert") => insert_endpoint(shared, request, request_id),
         (Method::Post, "/flush") => flush_endpoint(shared, request_id),
@@ -756,10 +706,9 @@ fn debug_json(entries: Vec<FlightEntry>, capacity: usize) -> Value {
 /// have no registry hooks of their own, and scrape-time refresh keeps
 /// the query path free of extra atomics.
 fn update_flight_gauges(shared: &Shared) {
-    if shared.sharded().is_some() {
+    let Some(db) = shared.db() else {
         return; // no flight recorder in front of a shard set
-    }
-    let db = shared.db();
+    };
     let forensics = &db.metrics().forensics;
     let recent_recorded = forensics.recent_recorded();
     let slow_recorded = forensics.slow_recorded();
@@ -780,69 +729,68 @@ fn update_flight_gauges(shared: &Shared) {
 }
 
 fn stats_json(shared: &Shared) -> Value {
-    if let Some(set) = shared.sharded() {
-        return sharded_stats_json(shared, set);
-    }
-    let db = shared.db();
-    let forensics = &db.metrics().forensics;
-    Value::Obj(vec![
-        ("records".to_string(), num(db.len() as u64)),
-        (
-            "total_bases".to_string(),
-            num(db.store().total_bases() as u64),
-        ),
+    let target = shared.target();
+    let mut members = vec![
+        ("records".to_string(), num(target.len() as u64)),
+        ("total_bases".to_string(), num(target.total_bases())),
         (
             "uptime_seconds".to_string(),
             Value::Num(shared.started.elapsed().as_secs_f64()),
         ),
-        (
-            "batching".to_string(),
-            Value::Bool(shared.batcher.is_some()),
-        ),
         ("build_info".to_string(), build_info::as_json()),
-        (
-            "forensics".to_string(),
-            Value::Obj(vec![
-                ("enabled".to_string(), Value::Bool(forensics.is_enabled())),
-                (
-                    "recent_capacity".to_string(),
-                    num(forensics.recent_capacity() as u64),
-                ),
-                (
-                    "slow_capacity".to_string(),
-                    num(forensics.slow_capacity() as u64),
-                ),
-                (
-                    "slow_threshold_ns".to_string(),
-                    match forensics.slow_threshold_ns() {
-                        Some(ns) if ns < u64::MAX => num(ns),
-                        _ => Value::Null,
-                    },
-                ),
-            ]),
-        ),
         ("scrub".to_string(), shared.scrub.to_value()),
-        ("live".to_string(), live_json(shared)),
-        (
+    ];
+    match &target {
+        SearchTarget::Db(db) => {
+            let forensics = db.forensics();
+            members.push((
+                "forensics".to_string(),
+                Value::Obj(vec![
+                    ("enabled".to_string(), Value::Bool(forensics.is_enabled())),
+                    (
+                        "recent_capacity".to_string(),
+                        num(forensics.recent_capacity() as u64),
+                    ),
+                    (
+                        "slow_capacity".to_string(),
+                        num(forensics.slow_capacity() as u64),
+                    ),
+                    (
+                        "slow_threshold_ns".to_string(),
+                        match forensics.slow_threshold_ns() {
+                            Some(ns) if ns < u64::MAX => num(ns),
+                            _ => Value::Null,
+                        },
+                    ),
+                ]),
+            ));
+            members.push(("live".to_string(), live_json(shared)));
             // Shape and on-disk layout of the loaded index (`null` for
             // a memory-resident index — `nucdb stat` covers that case
             // offline — and for a segmented live view, whose `live`
             // block above describes the segments instead). Computed per
             // request from the in-memory vocab; no disk I/O.
-            "index_stats".to_string(),
-            match db.index() {
-                IndexVariant::Disk(index) => nucdb::IndexStatReport::from_disk(index).to_value(),
-                IndexVariant::Memory(_) | IndexVariant::Segmented(_) => Value::Null,
-            },
-        ),
-        ("metrics".to_string(), shared.registry.snapshot().to_json()),
-    ])
+            members.push((
+                "index_stats".to_string(),
+                match db.index() {
+                    IndexVariant::Disk(index) => {
+                        nucdb::IndexStatReport::from_disk(index).to_value()
+                    }
+                    IndexVariant::Memory(_) | IndexVariant::Segmented(_) => Value::Null,
+                },
+            ));
+        }
+        // Shard rows (name, record base, liveness) replace the
+        // single-database blocks, which have no aggregate meaning
+        // across a set.
+        SearchTarget::Shards(set) => members.push(("sharded".to_string(), sharded_json(set))),
+    }
+    members.push(("metrics".to_string(), shared.registry.snapshot().to_json()));
+    Value::Obj(members)
 }
 
-/// `GET /stats` for a sharded server: shard rows (name, record base,
-/// liveness) replace the single-database `index_stats`/`forensics`
-/// blocks, which have no aggregate meaning across a set.
-fn sharded_stats_json(shared: &Shared, set: &ShardSet) -> Value {
+/// The `sharded` block of `GET /stats`: one row per shard.
+fn sharded_json(set: &ShardSet) -> Value {
     let rows = set
         .shard_rows()
         .into_iter()
@@ -862,23 +810,8 @@ fn sharded_stats_json(shared: &Shared, set: &ShardSet) -> Value {
         })
         .collect();
     Value::Obj(vec![
-        ("records".to_string(), num(set.len() as u64)),
-        ("total_bases".to_string(), num(set.total_bases())),
-        (
-            "uptime_seconds".to_string(),
-            Value::Num(shared.started.elapsed().as_secs_f64()),
-        ),
-        ("batching".to_string(), Value::Bool(false)),
-        ("build_info".to_string(), build_info::as_json()),
-        (
-            "sharded".to_string(),
-            Value::Obj(vec![
-                ("shards".to_string(), num(set.num_shards() as u64)),
-                ("rows".to_string(), Value::Arr(rows)),
-            ]),
-        ),
-        ("scrub".to_string(), shared.scrub.to_value()),
-        ("metrics".to_string(), shared.registry.snapshot().to_json()),
+        ("shards".to_string(), num(set.num_shards() as u64)),
+        ("rows".to_string(), Value::Arr(rows)),
     ])
 }
 
@@ -949,362 +882,49 @@ fn search_endpoint(
                 .text(format!("{error} (request {request_id})\n"));
         }
     };
-    if let Some(set) = shared.sharded() {
-        return sharded_search_endpoint(set, &search, request_id);
-    }
-    let db = shared.db();
-    let outcomes = match evaluate(shared, &db, &search, request_id, scratch) {
-        Ok(outcomes) => outcomes,
-        Err(error) => {
-            return Response::new(500, "Internal Server Error")
-                .text(format!("{error} (request {request_id})\n"));
-        }
-    };
-    // Mean record length for Gumbel calibration (matches the CLI).
-    // Computed from the request's snapshot so live-mode inserts are
-    // reflected immediately.
-    let mean_len = (db.store().total_bases() / db.len().max(1)).max(1);
-    let per_query = search
-        .queries
-        .iter()
-        .zip(&outcomes)
-        .map(|(query, outcome)| {
-            let significance = search.evalue.then(|| {
-                // Same calibration the CLI `search --evalue` uses, so
-                // server answers match offline answers exactly.
-                let fit = calibrate_gumbel(
-                    &search.params.scheme,
-                    query.seq.len().max(16),
-                    mean_len,
-                    48,
-                    0xCAFE,
-                );
-                outcome
-                    .results
-                    .iter()
-                    .map(|result| {
-                        let target_len = db.store().record_len(result.record);
-                        Significance {
-                            bits: fit.bit_score(result.score),
-                            evalue: fit.evalue(query.seq.len(), target_len, result.score),
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            });
-            api::outcome_to_json(query, outcome, significance.as_deref())
-        })
-        .collect();
-    Response::ok().json(api::response_to_json(per_query, request_id).render())
-}
-
-/// `/search` over a shard set: scatter-gather per query. Degraded
-/// coverage still answers 200 — the per-query `coverage` object tells
-/// the client how complete its answer is; only a query *no* shard
-/// could answer (or a parameter sharding cannot honour, like
-/// `max_accumulators`) becomes a 500.
-fn sharded_search_endpoint(set: &ShardSet, search: &SearchRequest, request_id: &str) -> Response {
-    let mut outcomes = Vec::with_capacity(search.queries.len());
+    // One target for the whole request: a live snapshot keeps every
+    // query on the same record-id space as inserts land.
+    let target = shared.target();
+    let mut per_query = Vec::with_capacity(search.queries.len());
     for query in &search.queries {
-        match set.search(&query.seq, &search.params) {
-            Ok(outcome) => outcomes.push(outcome),
+        // A shard set degrades to partial coverage instead of failing;
+        // only a query no shard could answer (or a parameter sharding
+        // cannot honour, like `max_accumulators`) becomes a 500.
+        let answer = match target.search(&query.seq, &search.params, scratch, Some(request_id)) {
+            Ok(answer) => answer,
             Err(error) => {
                 return Response::new(500, "Internal Server Error")
                     .text(format!("{error} (request {request_id})\n"));
             }
-        }
-    }
-    // Mean record length over the whole set (dead shards included via
-    // the manifest's record counts), matching the joint build's
-    // calibration inputs so e-values agree at full coverage.
-    let mean_len = (set.total_bases() as usize / set.len().max(1)).max(1);
-    let per_query = search
-        .queries
-        .iter()
-        .zip(&outcomes)
-        .map(|(query, outcome)| {
-            let significance = search.evalue.then(|| {
-                let fit = calibrate_gumbel(
-                    &search.params.scheme,
-                    query.seq.len().max(16),
-                    mean_len,
-                    48,
-                    0xCAFE,
-                );
-                outcome
-                    .results
-                    .iter()
-                    .map(|result| Significance {
-                        bits: fit.bit_score(result.score),
-                        evalue: fit.evalue(
-                            query.seq.len(),
-                            set.record_len(result.record),
-                            result.score,
-                        ),
-                    })
-                    .collect::<Vec<_>>()
-            });
-            sharded_query_json(query, outcome, significance.as_deref())
-        })
-        .collect();
-    Response::ok().json(api::response_to_json(per_query, request_id).render())
-}
-
-/// One sharded query's response document: the engine-shaped answer
-/// document plus a `coverage` object naming any failed shards.
-fn sharded_query_json(
-    query: &api::ApiQuery,
-    outcome: &ShardedOutcome,
-    significance: Option<&[Significance]>,
-) -> Value {
-    let engine_shaped = SearchOutcome {
-        results: outcome.results.clone(),
-        stats: outcome.stats,
-        explain: None,
-    };
-    let mut doc = api::outcome_to_json(query, &engine_shaped, significance);
-    let failures = outcome
-        .failures
-        .iter()
-        .map(|failure| {
-            Value::Obj(vec![
-                ("shard".to_string(), Value::Str(failure.shard.clone())),
-                ("error".to_string(), Value::Str(failure.error.clone())),
-            ])
-        })
-        .collect();
-    if let Value::Obj(members) = &mut doc {
-        members.push((
-            "coverage".to_string(),
-            Value::Obj(vec![
-                (
-                    "shards_ok".to_string(),
-                    num(outcome.coverage.shards_ok as u64),
-                ),
-                (
-                    "shards_total".to_string(),
-                    num(outcome.coverage.shards_total as u64),
-                ),
-                (
-                    "fraction".to_string(),
-                    Value::Num(outcome.coverage.fraction()),
-                ),
-                ("failures".to_string(), Value::Arr(failures)),
-            ]),
-        ));
-    }
-    doc
-}
-
-/// Evaluate a request's queries: through the batching collector when
-/// one is running, directly on the worker's scratch otherwise. Both
-/// paths produce identical outcomes.
-fn evaluate(
-    shared: &Shared,
-    db: &Database,
-    search: &SearchRequest,
-    request_id: &str,
-    scratch: &mut CoarseScratch,
-) -> Result<Vec<SearchOutcome>, String> {
-    if let Some(batcher) = &shared.batcher {
-        let queries: Vec<DnaSeq> = search.queries.iter().map(|q| q.seq.clone()).collect();
-        if let Some(result) = batcher.submit(queries, search.params, request_id.to_string()) {
-            return result;
-        }
-        // Collector already closed (shutdown drain): fall through.
-    }
-    search
-        .queries
-        .iter()
-        .map(|query| {
-            db.search_with_id(&query.seq, &search.params, scratch, Some(request_id))
-                .map_err(|e| e.to_string())
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Micro-batching collector
-// ---------------------------------------------------------------------
-
-/// One submitted unit of work: a request's queries plus the slot its
-/// results are delivered through.
-struct BatchJob {
-    queries: Vec<DnaSeq>,
-    params: SearchParams,
-    /// The HTTP request's id, stamped onto each of its queries' traces.
-    request_id: String,
-    slot: Arc<Slot>,
-}
-
-/// A rendezvous cell: the submitting worker blocks on it until the
-/// collector deposits the batch's outcome.
-struct Slot {
-    result: Mutex<Option<Result<Vec<SearchOutcome>, String>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn deliver(&self, value: Result<Vec<SearchOutcome>, String>) {
-        *self.result.lock().expect("slot poisoned") = Some(value);
-        self.ready.notify_one();
-    }
-
-    fn wait(&self) -> Result<Vec<SearchOutcome>, String> {
-        let mut guard = self.result.lock().expect("slot poisoned");
-        loop {
-            if let Some(value) = guard.take() {
-                return value;
-            }
-            guard = self.ready.wait(guard).expect("slot poisoned");
-        }
-    }
-}
-
-struct BatchState {
-    jobs: Vec<BatchJob>,
-    closed: bool,
-}
-
-/// The submission side of the micro-batching collector.
-struct Batcher {
-    state: Mutex<BatchState>,
-    arrived: Condvar,
-}
-
-impl Batcher {
-    fn new() -> Batcher {
-        Batcher {
-            state: Mutex::new(BatchState {
-                jobs: Vec::new(),
-                closed: false,
-            }),
-            arrived: Condvar::new(),
-        }
-    }
-
-    /// Queue `queries` and block until the collector evaluates them.
-    /// Returns `None` when the collector is closed (caller should
-    /// evaluate directly).
-    fn submit(
-        &self,
-        queries: Vec<DnaSeq>,
-        params: SearchParams,
-        request_id: String,
-    ) -> Option<Result<Vec<SearchOutcome>, String>> {
-        let slot = Slot::new();
-        {
-            let mut state = self.state.lock().expect("batcher poisoned");
-            if state.closed {
-                return None;
-            }
-            state.jobs.push(BatchJob {
-                queries,
-                params,
-                request_id,
-                slot: Arc::clone(&slot),
-            });
-        }
-        self.arrived.notify_all();
-        Some(slot.wait())
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("batcher poisoned").closed = true;
-        self.arrived.notify_all();
-    }
-}
-
-fn collector_loop(shared: &Shared) {
-    let batcher = shared.batcher.as_ref().expect("collector without batcher");
-    let window = shared
-        .config
-        .batch_window
-        .expect("collector without window");
-    loop {
-        // Phase 1: sleep until the first job (or closure).
-        {
-            let mut state = batcher.state.lock().expect("batcher poisoned");
-            while state.jobs.is_empty() && !state.closed {
-                state = batcher.arrived.wait(state).expect("batcher poisoned");
-            }
-            if state.jobs.is_empty() && state.closed {
-                return; // drained and closed: done
-            }
-        }
-        // Phase 2: keep the window open, coalescing arrivals, until it
-        // elapses or enough queries are pending.
-        let deadline = Instant::now() + window;
-        let jobs = loop {
-            let mut state = batcher.state.lock().expect("batcher poisoned");
-            let pending: usize = state.jobs.iter().map(|j| j.queries.len()).sum();
-            let now = Instant::now();
-            if pending >= shared.config.batch_max_queries || now >= deadline || state.closed {
-                break std::mem::take(&mut state.jobs);
-            }
-            let (next, _) = batcher
-                .arrived
-                .wait_timeout(state, deadline - now)
-                .expect("batcher poisoned");
-            drop(next);
         };
-        evaluate_batch(shared, jobs);
-    }
-}
-
-/// Run one coalesced batch. Jobs are grouped by identical parameters;
-/// each group becomes a single parallel batch call, whose outcomes are
-/// split back to the submitting requests in order.
-fn evaluate_batch(shared: &Shared, mut jobs: Vec<BatchJob>) {
-    if jobs.is_empty() {
-        return;
-    }
-    let total: usize = jobs.iter().map(|j| j.queries.len()).sum();
-    shared.metrics.batches.inc();
-    shared.metrics.batch_size.record(total as u64);
-    // One snapshot for the whole batch: every query in it sees the same
-    // record-id space, exactly like the static case.
-    let db = shared.db();
-
-    while !jobs.is_empty() {
-        let params = jobs[0].params;
-        let (group, rest): (Vec<BatchJob>, Vec<BatchJob>) =
-            jobs.into_iter().partition(|j| j.params == params);
-        jobs = rest;
-
-        let flat: Vec<DnaSeq> = group.iter().flat_map(|j| j.queries.clone()).collect();
-        let flat_ids: Vec<String> = group
-            .iter()
-            .flat_map(|j| std::iter::repeat_n(j.request_id.clone(), j.queries.len()))
-            .collect();
-        match db.search_batch_parallel_with_ids(
-            &flat,
-            Some(&flat_ids),
-            &params,
-            shared.config.search_threads,
-        ) {
-            Ok(outcomes) => {
-                let mut cursor = outcomes.into_iter();
-                for job in &group {
-                    let share: Vec<SearchOutcome> =
-                        cursor.by_ref().take(job.queries.len()).collect();
-                    job.slot.deliver(Ok(share));
-                }
-            }
-            Err(error) => {
-                let message = error.to_string();
-                for job in &group {
-                    job.slot.deliver(Err(message.clone()));
-                }
-            }
+        // Same calibration the CLI `search --evalue` uses, so server
+        // answers match offline answers exactly.
+        let significance = search.evalue.then(|| {
+            let fit = target.gumbel_fit(&search.params.scheme, query.seq.len());
+            answer
+                .outcome
+                .results
+                .iter()
+                .map(|result| Significance {
+                    bits: fit.bit_score(result.score),
+                    evalue: fit.evalue(
+                        query.seq.len(),
+                        target.record_len(result.record),
+                        result.score,
+                    ),
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut doc = api::outcome_to_json(query, &answer.outcome, significance.as_deref());
+        if let (Some(coverage), Value::Obj(members)) = (answer.coverage, &mut doc) {
+            members.push((
+                "coverage".to_string(),
+                api::coverage_to_json(&coverage, &answer.failures),
+            ));
         }
+        per_query.push(doc);
     }
+    Response::ok().json(api::response_to_json(per_query, request_id).render())
 }
 
 // ---------------------------------------------------------------------
@@ -1359,18 +979,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Database>();
         assert_send_sync::<Shared>();
-    }
-
-    #[test]
-    fn slot_rendezvous_delivers_across_threads() {
-        let slot = Slot::new();
-        let waiter = {
-            let slot = Arc::clone(&slot);
-            std::thread::spawn(move || slot.wait())
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        slot.deliver(Ok(Vec::new()));
-        assert!(waiter.join().unwrap().is_ok());
     }
 
     #[test]

@@ -162,7 +162,6 @@ fn concurrent_clients_match_direct_search_batch() {
     // batched path is what gets compared.
     let mut config = ServeConfig::default();
     config.threads = 4;
-    config.batch_window = Some(Duration::from_millis(2));
     let handle = start(
         "127.0.0.1:0",
         build_db(&coll),

@@ -16,6 +16,10 @@ cargo test -q -p nucdb --test explain_and_health
 cargo test -q -p nucdb --test sharding
 cargo test -q -p nucdb-serve --test shard_e2e
 cargo clippy --workspace -- -D warnings
+# The benchmark is a Cargo package of its own over the repository's
+# crates: build and test it here, so a core or serve API change that
+# breaks it fails verification rather than a benchmark run.
+cargo test --release --manifest-path perfbench/Cargo.toml
 # Index health end to end on a real corpus: build a block-codec
 # database, fsck it (clean files must exit 0 — any other exit code
 # fails the run via set -e), and write the stat report; CI uploads

@@ -390,6 +390,39 @@ fn all_shards_down_is_an_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A shard directory whose store disagrees with its index on the record
+/// count (here a store copied in from another shard) is a dead slot, not
+/// a panic: the set opens and answers from the other shards.
+#[test]
+fn mismatched_store_is_a_dead_shard() {
+    let records = corpus(19, 8);
+    let dir = temp_dir("mismatch");
+    let counts = build_sharded_root(&dir, records.clone(), 3, &DbConfig::default()).unwrap();
+    assert_eq!(counts, [6, 6, 7]);
+    std::fs::copy(
+        dir.join(shard_dir_name(2)).join("store.nucsto"),
+        dir.join(shard_dir_name(0)).join("store.nucsto"),
+    )
+    .unwrap();
+    let registry = MetricsRegistry::new();
+    let set = ShardSet::open_root(&dir, ShardSetConfig::default(), &registry).unwrap();
+    let outcome = set
+        .search(&records[10].1, &SearchParams::default())
+        .unwrap();
+    assert_eq!(
+        outcome.coverage,
+        nucdb::Coverage {
+            shards_ok: 2,
+            shards_total: 3
+        }
+    );
+    assert_eq!(outcome.failures.len(), 1);
+    assert_eq!(outcome.failures[0].shard, shard_dir_name(0));
+    assert!(outcome.failures[0].error.contains("records"));
+    assert_eq!(outcome.results[0].id, "r10");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Hedging at the planner level: a delayed primary worker loses the
 /// race to the undelayed hedge replica, answers stay bit-identical, and
 /// the hedge counters tick.
