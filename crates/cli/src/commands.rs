@@ -64,7 +64,7 @@ commands:
              --db DIR [--live] [--addr HOST:PORT] [--threads N] [--queue-depth N]
              [--deadline-ms N] [--memtable-max-records N] [--max-segments N]
              [--compact-bytes-per-sec N]
-             [--shard-deadline-ms N] [--shard-hedge-ms MS]
+             [--shard-deadline-ms N]
              [--scrub-bytes-per-sec N] [--metrics FILE]
              [--metrics-format prometheus|json] [--trace FILE] [--trace-sample N]
              [--flight-recorder N] [--slow-ms MS] [--slow-log FILE]
@@ -237,15 +237,12 @@ available over a sharded root)"
   --shard-deadline-ms N  sharded root: per-shard, per-phase deadline
                      (default 10000); a shard missing it is dropped from
                      the answer and coverage shrinks
-  --shard-hedge-ms MS    sharded root: re-dispatch a phase to the hedge
-                     worker after MS without an answer (default 250;
-                     0 disables hedging)
 
 A sharded root (SHARDS manifest from `nucdb build --shards N`) is
-detected automatically: queries scatter across per-shard workers, every
-per-query answer carries a coverage object, and failed shards degrade
-the answer instead of erroring it. /metrics gains per-shard
-nucdb_shard_* families.
+detected automatically: queries scatter across one worker per shard,
+every per-query answer carries a coverage object, and a shard that
+errors, panics or misses its deadline degrades the answer instead of
+erroring it. /metrics gains per-shard nucdb_shard_* families.
 
 endpoints: POST /search (FASTA or JSON body; \"explain\": true returns the
 plan), GET /metrics (Prometheus), GET /healthz, GET /readyz (503 until the
@@ -942,7 +939,7 @@ pub fn search(raw: &[String]) -> CommandResult {
     params.query_stride = args.get_or("query-stride", params.query_stride)?;
 
     let obs = ObsOptions::parse(&args)?;
-    let (target, metrics_out) = if nucdb_index::ShardManifest::exists_in(&db_dir) {
+    let (target, metrics_out) = if let Layout::Sharded(_) = Layout::load(&db_dir)? {
         if params.explain {
             return Err(
                 UsageError("--explain is not supported over a sharded root".to_string()).into(),
@@ -1336,14 +1333,13 @@ pub fn serve(raw: &[String]) -> CommandResult {
         "max-segments",
         "compact-bytes-per-sec",
         "shard-deadline-ms",
-        "shard-hedge-ms",
     ];
     value_opts.extend(OBS_VALUE_OPTS);
     let args = Args::parse("serve", raw, &value_opts, &["live"])?;
     let db_dir = PathBuf::from(args.required("db")?);
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let live_mode = args.flag("live");
-    let sharded_mode = !live_mode && nucdb_index::ShardManifest::exists_in(&db_dir);
+    let sharded_mode = !live_mode && matches!(Layout::load(&db_dir)?, Layout::Sharded(_));
 
     let mut config = nucdb_serve::ServeConfig::default();
     config.threads = args.get_or("threads", config.threads)?;
@@ -1357,12 +1353,10 @@ pub fn serve(raw: &[String]) -> CommandResult {
             return Err(UsageError(format!("--{live_only} requires --live")).into());
         }
     }
-    for shard_only in ["shard-deadline-ms", "shard-hedge-ms"] {
-        if !sharded_mode && args.get(shard_only).is_some() {
-            return Err(
-                UsageError(format!("--{shard_only} requires a sharded database root")).into(),
-            );
-        }
+    if !sharded_mode && args.get("shard-deadline-ms").is_some() {
+        return Err(
+            UsageError("--shard-deadline-ms requires a sharded database root".to_string()).into(),
+        );
     }
 
     // serve keeps the flight recorder on by default (capacity 256) so
@@ -1406,12 +1400,10 @@ pub fn serve(raw: &[String]) -> CommandResult {
     } else if sharded_mode {
         // Sharded root: per-shard workers are the intra-query
         // parallelism; trace/forensics are per-database and not bound.
-        let hedge_ms: u64 = args.get_or("shard-hedge-ms", 250u64)?;
         let shard_config = nucdb::ShardSetConfig {
             shard_deadline: std::time::Duration::from_millis(
                 args.get_or("shard-deadline-ms", 10_000u64)?,
             ),
-            hedge_after: (hedge_ms > 0).then(|| std::time::Duration::from_millis(hedge_ms)),
         };
         let registry = Arc::new(MetricsRegistry::new());
         let set = open_shards(&db_dir, shard_config, &registry)?;
@@ -1553,8 +1545,9 @@ enum Layout {
     Plain,
     /// A segment manifest (`nucdb ingest`, `nucdb serve --live`).
     Live(nucdb_index::Manifest),
-    /// A SHARDS manifest and one directory per shard (`build --shards N`).
-    Sharded(nucdb_index::ShardManifest),
+    /// A SHARDS manifest and one directory per shard (`build --shards N`);
+    /// entry `i` is shard `i`.
+    Sharded(nucdb_index::Manifest),
 }
 
 /// One index/store pair of a database directory: the directory itself,
@@ -1579,12 +1572,13 @@ impl Layout {
         let failed = |what: &str, e: nucdb_index::IndexError| {
             format!("{what} in {} will not load: {e}", dir.display())
         };
+        let shards_file = dir.join(nucdb_index::SHARD_MANIFEST_FILE);
         if nucdb_index::Manifest::exists_in(dir) {
             nucdb_index::Manifest::load(dir)
                 .map(Layout::Live)
                 .map_err(|e| failed("manifest", e))
-        } else if nucdb_index::ShardManifest::exists_in(dir) {
-            nucdb_index::ShardManifest::load(dir)
+        } else if shards_file.is_file() {
+            nucdb_index::Manifest::load_from(&shards_file)
                 .map(Layout::Sharded)
                 .map_err(|e| failed("SHARDS manifest", e))
         } else {
@@ -1615,14 +1609,14 @@ impl Layout {
                     detail: format!("{} B", seg.bytes()),
                 })
                 .collect(),
-            Layout::Sharded(manifest) => (0..manifest.shards.len())
+            Layout::Sharded(manifest) => (0..manifest.segments.len())
                 .map(|i| {
                     let name = nucdb_index::shard_dir_name(i);
                     Part {
                         index: dir.join(&name).join(INDEX_FILE),
                         store: dir.join(&name).join(STORE_FILE),
                         title: name.clone(),
-                        records: manifest.shards[i].records,
+                        records: manifest.segments[i].records,
                         key: ("shard", Value::Str(name)),
                         detail: format!("id base {}", manifest.base_of(i)),
                     }
@@ -1755,7 +1749,7 @@ pub fn stat(raw: &[String]) -> CommandResult {
             m.stride,
             m.granularity,
             m.codec,
-            m.shards.len(),
+            m.segments.len(),
             m.total_records(),
         ),
     };
@@ -1810,7 +1804,7 @@ pub fn stat(raw: &[String]) -> CommandResult {
             ("segments".to_string(), Value::Arr(values)),
         ]),
         Layout::Sharded(m) => Value::Obj(vec![
-            ("shard_count".to_string(), num(m.shards.len() as u64)),
+            ("shard_count".to_string(), num(m.segments.len() as u64)),
             ("records".to_string(), num(m.total_records())),
             ("shards".to_string(), Value::Arr(values)),
         ]),
@@ -1864,7 +1858,7 @@ pub fn fsck(raw: &[String]) -> Result<i32, Box<dyn Error>> {
         Layout::Sharded(m) => format!(
             "SHARDS v{}: {} shards, {} records\n",
             m.version,
-            m.shards.len(),
+            m.segments.len(),
             m.total_records(),
         ),
     };
@@ -1909,7 +1903,7 @@ pub fn fsck(raw: &[String]) -> Result<i32, Box<dyn Error>> {
                 ("segments".to_string(), Value::Arr(values)),
             ]),
             Layout::Sharded(m) => Value::Obj(vec![
-                ("shard_count".to_string(), num(m.shards.len() as u64)),
+                ("shard_count".to_string(), num(m.segments.len() as u64)),
                 ("exit_code".to_string(), num(worst as u64)),
                 ("shards".to_string(), Value::Arr(values)),
             ]),

@@ -398,3 +398,42 @@ fn mismatched_files_are_an_error_not_a_panic() {
         stderr(&output)
     );
 }
+
+#[test]
+fn damaged_shards_manifest_will_not_load() {
+    let layouts = Layouts::new("shardsfile");
+    let manifest = layouts.dir.join("sharded/SHARDS");
+    let pristine = std::fs::read(&manifest).unwrap();
+    let mut flipped = pristine.clone();
+    *flipped.last_mut().unwrap() ^= 0x01;
+    let truncated = pristine[..pristine.len() - 1].to_vec();
+    let will_not_load = format!(
+        "SHARDS manifest in {} will not load",
+        layouts.path("sharded")
+    );
+
+    for damaged in [flipped, truncated] {
+        std::fs::write(&manifest, &damaged).unwrap();
+        let fsck = nucdb(&["fsck", "--db", &layouts.path("sharded")]);
+        assert_eq!(fsck.status.code(), Some(2), "{}", stderr(&fsck));
+        assert!(stderr(&fsck).contains(&will_not_load), "{}", stderr(&fsck));
+
+        let stat = nucdb(&[
+            "stat",
+            "--db",
+            &layouts.path("sharded"),
+            "--out",
+            &layouts.path("stat-damaged"),
+        ]);
+        assert_eq!(stat.status.code(), Some(1), "{}", stderr(&stat));
+        assert!(stderr(&stat).contains(&will_not_load), "{}", stderr(&stat));
+
+        let search = layouts.search("sharded");
+        assert_eq!(search.status.code(), Some(1), "{}", stderr(&search));
+        assert!(
+            stderr(&search).contains(&will_not_load),
+            "{}",
+            stderr(&search)
+        );
+    }
+}

@@ -1,11 +1,13 @@
-//! Scatter-gather sharded search (ROADMAP item 3).
+//! Scatter-gather sharded search.
 //!
 //! A [`ShardSet`] partitions a collection into N shards, each an
 //! independent index + store holding a contiguous slice of the record-id
-//! space. A query fans coarse search out across a per-shard worker pool,
-//! merges the per-shard top-C candidates globally, runs fine alignment
-//! only on the global winners, and merges strands exactly as the
-//! single-database engine does.
+//! space. On disk a sharded root is a `SHARDS` file — a segment
+//! [`Manifest`] whose entry `i` is shard `i` — beside one plain database
+//! directory per shard. A query fans coarse search out to one persistent
+//! worker thread per shard, merges the per-shard top-C candidates
+//! globally, runs fine alignment only on the global winners, and merges
+//! strands exactly as the single-database engine does.
 //!
 //! ## Merge proof obligation
 //!
@@ -34,15 +36,18 @@
 //! ## Degraded mode
 //!
 //! A shard that cannot be opened (dead at open), fails a query
-//! (corruption), or misses its deadline is dropped from the answer; the
-//! query still succeeds with the surviving shards and a
+//! (corruption, or a panic inside the shard, which its worker catches
+//! and survives), or misses its per-phase deadline is dropped from the
+//! answer; the query still succeeds with the surviving shards and a
 //! [`Coverage`] of `shards_ok / shards_total`. Results from a shard
 //! that failed *any* phase are discarded entirely, so a degraded answer
 //! equals the answer of a `ShardSet` over the surviving shards alone.
 //! Only when every shard fails does the query error.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -50,7 +55,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nucdb_align::{calibrate_gumbel, GumbelFit, ScoringScheme};
-use nucdb_index::{shard_dir_name, Granularity, IndexError, IndexParams, ShardManifest, ShardMeta};
+use nucdb_index::{
+    shard_dir_name, Granularity, IndexError, IndexParams, Manifest, SegmentMeta,
+    SHARD_MANIFEST_FILE,
+};
 use nucdb_obs::{Counter, Histogram, MetricsRegistry};
 use nucdb_seq::DnaSeq;
 
@@ -204,10 +212,9 @@ impl Shard for LocalShard {
         params: &SearchParams,
     ) -> Result<CoarseOutcome, IndexError> {
         thread_local! {
-            // One scratch per thread that runs shard work: each shard's
-            // worker and the hedge worker. Coarse results are
-            // independent of scratch history, so reuse saves only
-            // allocations.
+            // One scratch per thread that runs shard work, i.e. per
+            // shard worker. Coarse results are independent of scratch
+            // history, so reuse saves only allocations.
             static SCRATCH: RefCell<CoarseScratch> = RefCell::new(CoarseScratch::new());
         }
         SCRATCH.with(|scratch| {
@@ -259,17 +266,12 @@ pub struct ShardSetConfig {
     /// Per-phase, per-shard deadline. A shard that has not answered a
     /// phase within this long is marked failed for the query.
     pub shard_deadline: Duration,
-    /// After this long without an answer, re-dispatch the phase to the
-    /// hedge worker (tail-latency insurance against a stuck shard
-    /// thread). `None` disables hedging.
-    pub hedge_after: Option<Duration>,
 }
 
 impl Default for ShardSetConfig {
     fn default() -> ShardSetConfig {
         ShardSetConfig {
             shard_deadline: Duration::from_secs(10),
-            hedge_after: Some(Duration::from_millis(250)),
         }
     }
 }
@@ -281,8 +283,6 @@ struct ShardMetrics {
     queries: Counter,
     errors: Counter,
     timeouts: Counter,
-    hedges: Counter,
-    hedge_wins: Counter,
     latency: Histogram,
 }
 
@@ -305,16 +305,6 @@ impl ShardMetrics {
                 "Phase deadlines this shard missed",
                 labels,
             ),
-            hedges: registry.counter_with(
-                "nucdb_shard_hedges_total",
-                "Hedged re-dispatches triggered by this shard's slowness",
-                labels,
-            ),
-            hedge_wins: registry.counter_with(
-                "nucdb_shard_hedge_wins_total",
-                "Phases where the hedge replica answered first",
-                labels,
-            ),
             latency: registry.histogram_with(
                 "nucdb_shard_latency_ns",
                 "Per-phase shard service time in nanoseconds",
@@ -324,71 +314,18 @@ impl ShardMetrics {
     }
 }
 
-/// A phase of work for one shard.
-enum JobKind {
-    Coarse,
-    Fine {
-        candidates: Arc<Vec<CoarseHit>>,
-        mode: FineMode,
-    },
-}
+/// One phase of work for one shard's worker: runs the shard call and
+/// sends the reply itself.
+type Job = Box<dyn FnOnce() + Send>;
 
-enum PhaseOutput {
-    Coarse(CoarseOutcome),
-    Fine(Vec<FineResult>),
-}
-
-struct Job {
-    shard: Arc<dyn Shard>,
-    slot: usize,
-    query: Arc<DnaSeq>,
-    query_bases: Arc<Vec<nucdb_seq::Base>>,
-    params: SearchParams,
-    kind: JobKind,
-    seq: u64,
-    hedged: bool,
-    delay: Arc<AtomicU64>,
-    reply: mpsc::Sender<Reply>,
-}
-
-struct Reply {
-    slot: usize,
-    seq: u64,
-    hedged: bool,
-    nanos: u64,
-    output: Result<PhaseOutput, IndexError>,
-}
-
-fn run_job(job: Job) {
-    // Injected delay (tests) applies only to a shard's primary worker,
-    // never to the hedge — so a hedged re-dispatch provably overtakes a
-    // delayed straggler with a bit-identical answer.
-    if !job.hedged {
-        let ns = job.delay.load(Ordering::Relaxed);
-        if ns > 0 {
-            std::thread::sleep(Duration::from_nanos(ns));
-        }
+/// The message of a caught panic's payload.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(message) => message,
+        None => payload
+            .downcast_ref::<String>()
+            .map_or("non-string panic payload", String::as_str),
     }
-    let start = Instant::now();
-    let output = match &job.kind {
-        JobKind::Coarse => job
-            .shard
-            .coarse(&job.query_bases, &job.params)
-            .map(PhaseOutput::Coarse),
-        JobKind::Fine { candidates, mode } => job
-            .shard
-            .fine(&job.query, candidates, *mode, &job.params)
-            .map(PhaseOutput::Fine),
-    };
-    // The dispatcher may have moved on (deadline, or the other replica
-    // answered); a dropped receiver is not an error.
-    let _ = job.reply.send(Reply {
-        slot: job.slot,
-        seq: job.seq,
-        hedged: job.hedged,
-        nanos: start.elapsed().as_nanos() as u64,
-        output,
-    });
 }
 
 fn spawn_worker(name: String, rx: mpsc::Receiver<Job>) -> JoinHandle<()> {
@@ -396,7 +333,7 @@ fn spawn_worker(name: String, rx: mpsc::Receiver<Job>) -> JoinHandle<()> {
         .name(name)
         .spawn(move || {
             while let Ok(job) = rx.recv() {
-                run_job(job);
+                job();
             }
         })
         .expect("spawn shard worker")
@@ -405,7 +342,7 @@ fn spawn_worker(name: String, rx: mpsc::Receiver<Job>) -> JoinHandle<()> {
 /// One shard slot: the shard (when it opened), its record-id base, and
 /// its dispatch plumbing. Dead-at-open shards keep their slot — their
 /// record count, and therefore every later shard's id base, comes from
-/// the shard manifest.
+/// the `SHARDS` manifest.
 struct ShardSlot {
     name: String,
     base: u32,
@@ -422,9 +359,7 @@ struct ShardSlot {
 pub struct ShardSet {
     slots: Vec<ShardSlot>,
     config: ShardSetConfig,
-    hedge_tx: Option<mpsc::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    seq: AtomicU64,
     degraded_queries: Counter,
 }
 
@@ -512,19 +447,10 @@ impl ShardSet {
             });
             base += u64::from(records);
         }
-        let hedge_tx = if config.hedge_after.is_some() {
-            let (tx, rx) = mpsc::channel();
-            workers.push(spawn_worker("nucdb-shard-hedge".into(), rx));
-            Some(tx)
-        } else {
-            None
-        };
         Ok(ShardSet {
             slots,
             config,
-            hedge_tx,
             workers,
-            seq: AtomicU64::new(0),
             degraded_queries: registry.counter(
                 "nucdb_shard_degraded_queries_total",
                 "Queries answered with partial shard coverage",
@@ -557,9 +483,9 @@ impl ShardSet {
         config: ShardSetConfig,
         registry: &MetricsRegistry,
     ) -> Result<ShardSet, IndexError> {
-        let manifest = ShardManifest::load(root)?;
+        let manifest = Manifest::load_from(&root.join(SHARD_MANIFEST_FILE))?;
         let mut entries: Vec<ShardEntry> = Vec::new();
-        for (i, meta) in manifest.shards.iter().enumerate() {
+        for (i, meta) in manifest.segments.iter().enumerate() {
             let name = shard_dir_name(i);
             let dir = root.join(&name);
             match open_shard_dir(&dir, &name) {
@@ -645,9 +571,8 @@ impl ShardSet {
             .next()
     }
 
-    /// Inject a fixed service delay into one shard's primary worker
-    /// (tests): the hedge replica is never delayed, so a delayed shard
-    /// deterministically loses the race once `hedge_after` elapses.
+    /// Inject a fixed service delay into every phase one shard runs
+    /// (tests: a delay past the deadline times the shard out).
     pub fn inject_delay_ns(&self, shard: usize, ns: u64) {
         self.slots[shard].delay.store(ns, Ordering::Relaxed);
     }
@@ -662,24 +587,23 @@ impl ShardSet {
     }
 
     /// Fan one phase out to `targets` (slot indexes) and gather replies
-    /// under the per-shard deadline, hedging stragglers. Returns
-    /// per-slot `Some(Ok(output))`, `Some(Err(msg))`, or is marked in
-    /// `failed` on timeout.
-    fn run_phase(
+    /// under the per-shard deadline. `work` makes each live target's
+    /// call; its worker runs it, catching a panic as a failure. Returns
+    /// per-slot `Some(Ok(output))` or `Some(Err(cause))` (an error, a
+    /// panic or a missed deadline), and `None` for slots not run.
+    fn run_phase<T, F>(
         &self,
         targets: &[usize],
-        make_kind: impl Fn(usize) -> JobKind,
-        query: &Arc<DnaSeq>,
-        query_bases: &Arc<Vec<nucdb_seq::Base>>,
-        params: &SearchParams,
-    ) -> Vec<Option<Result<PhaseOutput, String>>> {
-        let mut outputs: Vec<Option<Result<PhaseOutput, String>>> = Vec::new();
+        mut work: impl FnMut(usize, Arc<dyn Shard>) -> F,
+    ) -> Vec<Option<Result<T, String>>>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> Result<T, IndexError> + Send + 'static,
+    {
+        let mut outputs: Vec<Option<Result<T, String>>> = Vec::new();
         outputs.resize_with(self.slots.len(), || None);
-        if targets.is_empty() {
-            return outputs;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+        // A channel per phase: no reply from an earlier phase can land here.
+        let (reply_tx, reply_rx) = mpsc::channel::<(usize, u64, Result<T, String>)>();
         let start = Instant::now();
         let mut pending: Vec<usize> = Vec::new();
         for &slot_idx in targets {
@@ -687,18 +611,26 @@ impl ShardSet {
             let (Some(shard), Some(tx)) = (&slot.shard, &slot.tx) else {
                 continue; // dead shard: stays None
             };
-            let job = Job {
-                shard: Arc::clone(shard),
-                slot: slot_idx,
-                query: Arc::clone(query),
-                query_bases: Arc::clone(query_bases),
-                params: *params,
-                kind: make_kind(slot_idx),
-                seq,
-                hedged: false,
-                delay: Arc::clone(&slot.delay),
-                reply: reply_tx.clone(),
-            };
+            let call = work(slot_idx, Arc::clone(shard));
+            let (name, delay, reply) =
+                (slot.name.clone(), Arc::clone(&slot.delay), reply_tx.clone());
+            let job: Job = Box::new(move || {
+                let ns = delay.load(Ordering::Relaxed);
+                if ns > 0 {
+                    std::thread::sleep(Duration::from_nanos(ns));
+                }
+                let begin = Instant::now();
+                let output = match catch_unwind(AssertUnwindSafe(call)) {
+                    Ok(result) => result.map_err(|e| e.to_string()),
+                    Err(payload) => Err(format!(
+                        "shard {name} panicked: {}",
+                        panic_message(payload.as_ref())
+                    )),
+                };
+                // The dispatcher may have moved on past the deadline; a
+                // dropped receiver is not an error.
+                let _ = reply.send((slot_idx, begin.elapsed().as_nanos() as u64, output));
+            });
             slot.metrics.queries.inc();
             if tx.send(job).is_err() {
                 outputs[slot_idx] = Some(Err("shard worker exited".into()));
@@ -708,64 +640,16 @@ impl ShardSet {
         }
 
         let deadline = self.config.shard_deadline;
-        let mut hedged = false;
         while !pending.is_empty() {
-            let elapsed = start.elapsed();
-            if elapsed >= deadline {
+            let Some(wait) = deadline.checked_sub(start.elapsed()) else {
                 break;
-            }
-            let mut wait = deadline - elapsed;
-            if let (Some(after), false) = (self.config.hedge_after, hedged) {
-                if elapsed >= after {
-                    // Straggler(s): re-dispatch every unanswered shard to
-                    // the hedge worker. First answer per shard wins; the
-                    // loser's reply is dropped on the closed channel.
-                    hedged = true;
-                    if let Some(hedge_tx) = &self.hedge_tx {
-                        for &slot_idx in &pending {
-                            let slot = &self.slots[slot_idx];
-                            let Some(shard) = &slot.shard else { continue };
-                            slot.metrics.hedges.inc();
-                            let _ = hedge_tx.send(Job {
-                                shard: Arc::clone(shard),
-                                slot: slot_idx,
-                                query: Arc::clone(query),
-                                query_bases: Arc::clone(query_bases),
-                                params: *params,
-                                kind: make_kind(slot_idx),
-                                seq,
-                                hedged: true,
-                                delay: Arc::clone(&slot.delay),
-                                reply: reply_tx.clone(),
-                            });
-                        }
-                    }
-                    continue;
-                }
-                wait = wait.min(after - elapsed);
-            }
-            match reply_rx.recv_timeout(wait) {
-                Ok(reply) => {
-                    if reply.seq != seq {
-                        continue; // stale reply from an earlier phase
-                    }
-                    let Some(pos) = pending.iter().position(|&i| i == reply.slot) else {
-                        continue; // both replicas answered; first won
-                    };
-                    pending.swap_remove(pos);
-                    let slot = &self.slots[reply.slot];
-                    slot.metrics.latency.record(reply.nanos);
-                    if reply.hedged {
-                        slot.metrics.hedge_wins.inc();
-                    }
-                    outputs[reply.slot] = Some(match reply.output {
-                        Ok(out) => Ok(out),
-                        Err(e) => Err(e.to_string()),
-                    });
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
+            };
+            let Ok((slot_idx, nanos, output)) = reply_rx.recv_timeout(wait) else {
+                break;
+            };
+            pending.retain(|&i| i != slot_idx);
+            self.slots[slot_idx].metrics.latency.record(nanos);
+            outputs[slot_idx] = Some(output);
         }
         for slot_idx in pending {
             let slot = &self.slots[slot_idx];
@@ -820,8 +704,10 @@ impl ShardSet {
 
             // Phase 1: coarse everywhere.
             let coarse_start = Instant::now();
-            let coarse_outputs =
-                self.run_phase(&live, |_| JobKind::Coarse, &oriented, &query_bases, params);
+            let coarse_outputs = self.run_phase(&live, |_, shard| {
+                let (bases, params) = (Arc::clone(&query_bases), *params);
+                move || shard.coarse(&bases, &params)
+            });
             stats.coarse_nanos += coarse_start.elapsed().as_nanos() as u64;
 
             // Gather per-shard candidate lists under global record ids
@@ -833,7 +719,7 @@ impl ShardSet {
                 let Some(output) = output else { continue };
                 let slot = &self.slots[slot_idx];
                 match output {
-                    Ok(PhaseOutput::Coarse(coarse)) => {
+                    Ok(coarse) => {
                         stats.add_coarse(&coarse);
                         let shard_work = work.entry(slot_idx).or_insert_with(|| ShardWork {
                             shard: slot.name.clone(),
@@ -847,7 +733,6 @@ impl ShardSet {
                             (slot_idx, hit)
                         }));
                     }
-                    Ok(PhaseOutput::Fine(_)) => unreachable!("coarse phase returned fine output"),
                     Err(e) => {
                         slot.metrics.errors.inc();
                         failures.insert(slot_idx, e);
@@ -866,34 +751,24 @@ impl ShardSet {
                 per_shard.entry(slot_idx).or_default().push(hit);
             }
             let fine_targets: Vec<usize> = per_shard.keys().copied().collect();
-            let batches: BTreeMap<usize, Arc<Vec<CoarseHit>>> = per_shard
-                .into_iter()
-                .map(|(slot_idx, hits)| (slot_idx, Arc::new(hits)))
-                .collect();
             let fine_start = Instant::now();
-            let fine_outputs = self.run_phase(
-                &fine_targets,
-                |slot_idx| JobKind::Fine {
-                    candidates: Arc::clone(&batches[&slot_idx]),
-                    mode: fine_mode,
-                },
-                &oriented,
-                &query_bases,
-                params,
-            );
+            let fine_outputs = self.run_phase(&fine_targets, |slot_idx, shard| {
+                let hits = per_shard.remove(&slot_idx).unwrap_or_default();
+                let (query, params) = (Arc::clone(&oriented), *params);
+                move || shard.fine(&query, &hits, fine_mode, &params)
+            });
             stats.fine_nanos += fine_start.elapsed().as_nanos() as u64;
             for (slot_idx, output) in fine_outputs.into_iter().enumerate() {
                 let Some(output) = output else { continue };
                 let slot = &self.slots[slot_idx];
                 match output {
-                    Ok(PhaseOutput::Fine(results)) => {
+                    Ok(results) => {
                         merged.extend(results.into_iter().map(|mut r| {
                             r.record += slot.base;
                             r.coarse.record += slot.base;
                             (slot_idx, strand, r)
                         }));
                     }
-                    Ok(PhaseOutput::Coarse(_)) => unreachable!("fine phase returned coarse output"),
                     Err(e) => {
                         slot.metrics.errors.inc();
                         failures.insert(slot_idx, e);
@@ -955,7 +830,6 @@ impl Drop for ShardSet {
         for slot in &mut self.slots {
             slot.tx = None; // close the channel so the worker exits
         }
-        self.hedge_tx = None;
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1102,7 +976,7 @@ pub fn build_sharded_root(
             .map(|h| h.join().expect("shard build thread panicked"))
             .collect()
     });
-    let mut manifest = ShardManifest::new(
+    let mut manifest = Manifest::new(
         config.index.k,
         config.index.stride,
         config.index.granularity,
@@ -1110,16 +984,17 @@ pub fn build_sharded_root(
         crate::segment::storage_tag(config.storage),
     );
     let mut counts = Vec::with_capacity(num_shards);
-    for result in results {
+    for (id, result) in (0u64..).zip(results) {
         let (records, index_bytes, store_bytes) = result?;
         counts.push(records);
-        manifest.shards.push(ShardMeta {
+        manifest.segments.push(SegmentMeta {
+            id,
             records,
             index_bytes,
             store_bytes,
         });
     }
-    manifest.save(root)?;
+    manifest.save_to(&root.join(SHARD_MANIFEST_FILE))?;
     Ok(counts)
 }
 
@@ -1143,4 +1018,145 @@ fn build_shard_dir(
     let index_bytes = std::fs::metadata(&index_path)?.len();
     let store_bytes = std::fs::metadata(&store_path)?.len();
     Ok((count, index_bytes, store_bytes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nucdb_seq::random::{CollectionSpec, SyntheticCollection};
+
+    /// A three-shard root over a tiny collection, in a fresh directory.
+    /// Returns the root and the per-shard record counts.
+    fn sharded_root(tag: &str) -> (PathBuf, Vec<u32>) {
+        let root = std::env::temp_dir().join(format!(
+            "nucdb-shard-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let coll = SyntheticCollection::generate(&CollectionSpec::tiny(3));
+        let records = coll
+            .records
+            .iter()
+            .map(|r| (r.id.clone(), r.seq.clone()))
+            .collect();
+        let counts = build_sharded_root(&root, records, 3, &DbConfig::default()).unwrap();
+        (root, counts)
+    }
+
+    fn open(root: &Path) -> Result<ShardSet, IndexError> {
+        ShardSet::open_root(root, ShardSetConfig::default(), &MetricsRegistry::disabled())
+    }
+
+    /// Overwrite `root/SHARDS` with `bytes` and report whether the root
+    /// still opens.
+    fn opens_with(root: &Path, bytes: &[u8]) -> bool {
+        std::fs::write(root.join(SHARD_MANIFEST_FILE), bytes).unwrap();
+        open(root).is_ok()
+    }
+
+    #[test]
+    fn round_trip() {
+        let (root, counts) = sharded_root("round-trip");
+        let bytes = std::fs::read(root.join(SHARD_MANIFEST_FILE)).unwrap();
+        let m = Manifest::decode(&bytes).unwrap();
+        assert_eq!(m.encode(), bytes);
+        let config = DbConfig::default();
+        assert_eq!(m.k, config.index.k);
+        assert_eq!(m.stride, config.index.stride);
+        assert_eq!(m.granularity, config.index.granularity);
+        assert_eq!(m.codec, config.codec);
+        assert_eq!(m.segments.len(), 3);
+        let mut base = 0u64;
+        for (i, (meta, &count)) in m.segments.iter().zip(&counts).enumerate() {
+            assert_eq!(meta.id, i as u64);
+            assert_eq!(meta.records, count);
+            assert_eq!(m.base_of(i), base);
+            base += u64::from(count);
+        }
+        assert_eq!(m.total_records(), base);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn save_and_load() {
+        let (root, counts) = sharded_root("save-load");
+        let path = root.join(SHARD_MANIFEST_FILE);
+        let mut m = Manifest::load_from(&path).unwrap();
+        for (i, meta) in m.segments.iter().enumerate() {
+            let dir = root.join(shard_dir_name(i));
+            assert_eq!(
+                meta.index_bytes,
+                std::fs::metadata(dir.join(INDEX_FILE)).unwrap().len()
+            );
+            assert_eq!(
+                meta.store_bytes,
+                std::fs::metadata(dir.join(STORE_FILE)).unwrap().len()
+            );
+        }
+        m.version += 1;
+        m.save_to(&path).unwrap();
+        assert_eq!(Manifest::load_from(&path).unwrap(), m);
+        let set = open(&root).unwrap();
+        assert_eq!(set.num_shards(), 3);
+        assert_eq!(set.len(), counts.iter().map(|&c| c as usize).sum::<usize>());
+        drop(set);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn every_byte_flip_is_detected() {
+        let (root, _) = sharded_root("byte-flip");
+        let bytes = std::fs::read(root.join(SHARD_MANIFEST_FILE)).unwrap();
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[pos] ^= 1 << bit;
+                assert!(
+                    !opens_with(&root, &corrupt),
+                    "flip at byte {pos} bit {bit} went undetected"
+                );
+            }
+        }
+        assert!(opens_with(&root, &bytes));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn every_truncation_is_detected() {
+        let (root, _) = sharded_root("truncation");
+        let bytes = std::fs::read(root.join(SHARD_MANIFEST_FILE)).unwrap();
+        for len in 0..bytes.len() {
+            assert!(
+                !opens_with(&root, &bytes[..len]),
+                "truncation to {len} bytes went undetected"
+            );
+        }
+        assert!(opens_with(&root, &bytes));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        let (root, _) = sharded_root("trailing");
+        let bytes = std::fs::read(root.join(SHARD_MANIFEST_FILE)).unwrap();
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(!opens_with(&root, &longer));
+        assert!(opens_with(&root, &bytes));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn dir_names() {
+        assert_eq!(shard_dir_name(0), "shard-000");
+        assert_eq!(shard_dir_name(42), "shard-042");
+        let (root, _) = sharded_root("dir-names");
+        let set = open(&root).unwrap();
+        let names: Vec<String> = set.shard_rows().into_iter().map(|row| row.0).collect();
+        assert_eq!(names, ["shard-000", "shard-001", "shard-002"]);
+        assert!(names.iter().all(|name| root.join(name).is_dir()));
+        drop(set);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 }

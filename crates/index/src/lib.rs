@@ -25,10 +25,10 @@
 //!   need not fit in memory), and a parallel variant.
 //! * [`manifest`] — the crash-safe `MANIFEST` naming the segments of a
 //!   live (incrementally ingested) directory, swapped atomically on
-//!   every flush/compaction.
-//! * [`shard`] — the `SHARDS` manifest describing a sharded database
-//!   root: per-shard record counts fix the record-id bases that make
-//!   scatter-gather answers bit-identical to a joint build.
+//!   every flush/compaction; the same format, as `SHARDS`, lists the
+//!   shards of a sharded root, whose per-shard record counts fix the
+//!   record-id bases that make scatter-gather answers bit-identical to a
+//!   joint build.
 //! * [`disk`] — the on-disk index format and a reader that fetches lists
 //!   on demand with lock-free positional reads, tracking bytes read (the
 //!   paper's disk-cost story).
@@ -59,7 +59,6 @@ pub mod manifest;
 pub mod merge;
 pub mod postings;
 pub mod pread;
-pub mod shard;
 pub mod stats;
 pub mod stopping;
 
@@ -74,10 +73,9 @@ pub use durable::{crc32, AtomicFile, CountingReader, Crc32};
 pub use error::{FormatViolation, IndexError};
 pub use fault::{FaultPlan, FaultyFile, FaultyReader};
 pub use interval::{Granularity, IndexParams};
-pub use manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
+pub use manifest::{shard_dir_name, Manifest, SegmentMeta, MANIFEST_FILE, SHARD_MANIFEST_FILE};
 pub use merge::{apply_stopping, merge_indexes};
 pub use postings::{Posting, PostingsList};
 pub use pread::{PositionalReader, TRANSIENT_RETRY_LIMIT};
-pub use shard::{shard_dir_name, ShardManifest, ShardMeta, SHARD_MANIFEST_FILE};
 pub use stats::IndexStats;
 pub use stopping::StopPolicy;

@@ -1,5 +1,5 @@
 //! The segment manifest: the single durable source of truth for a live
-//! (incrementally ingested) database directory.
+//! (incrementally ingested) database directory and for a sharded root.
 //!
 //! A live directory contains immutable segment files (`seg-<id>.nucidx` +
 //! `seg-<id>.nucsto`) plus one `MANIFEST` naming, in order, exactly the
@@ -12,6 +12,13 @@
 //! manifest are *orphans*: debris from an interrupted flush, safe to
 //! delete.
 //!
+//! A sharded root holds the same format under the name `SHARDS`
+//! ([`SHARD_MANIFEST_FILE`]) beside one plain database directory per
+//! shard (`shard-000/`, `shard-001/`, …): entry `i`, with id `i`, is
+//! shard `i`. The manifest is what lets a shard whose files are
+//! unreadable keep its slot — its record count, and therefore every
+//! later shard's record-id base, comes from the manifest.
+//!
 //! ## Format (`NUCMAN01`)
 //!
 //! ```text
@@ -23,7 +30,8 @@
 //! ```
 //!
 //! The body is CRC-guarded and the file must end exactly at the body —
-//! trailing bytes are a format violation. The manifest is
+//! trailing bytes are a format violation. The records of all entries
+//! must fit the u32 record-id space. The manifest is
 //! self-describing: it carries the index parameters and codec so an empty
 //! live directory reopens with the configuration it was created with.
 //! Stopping is deliberately absent — stopped indexes cannot be merged
@@ -41,6 +49,14 @@ use crate::interval::Granularity;
 
 /// File name of the manifest inside a live directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
+
+/// File name of the manifest inside a sharded root.
+pub const SHARD_MANIFEST_FILE: &str = "SHARDS";
+
+/// Directory name of shard `ordinal` (`shard-<ordinal>`) in a sharded root.
+pub fn shard_dir_name(ordinal: usize) -> String {
+    format!("shard-{ordinal:03}")
+}
 
 const MAGIC: &[u8; 8] = b"NUCMAN01";
 /// Fixed header size: magic + body_len + body_crc.
@@ -171,6 +187,15 @@ impl Manifest {
         self.segments.iter().map(|s| s.id + 1).max().unwrap_or(0)
     }
 
+    /// Global record-id base of entry `ordinal` (sum of earlier entries'
+    /// record counts).
+    pub fn base_of(&self, ordinal: usize) -> u64 {
+        self.segments[..ordinal]
+            .iter()
+            .map(|s| u64::from(s.records))
+            .sum()
+    }
+
     /// Serialize to the full on-disk file image (header + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(64 + self.segments.len() * 16);
@@ -254,14 +279,16 @@ impl Manifest {
             ));
         }
         let mut segments: Vec<SegmentMeta> = Vec::with_capacity(count as usize);
+        let mut total: u64 = 0;
         for _ in 0..count {
             let id = take_vu64(&mut cur)?;
             let records = take_vu64(&mut cur)?;
             let index_bytes = take_vu64(&mut cur)?;
             let store_bytes = take_vu64(&mut cur)?;
-            if records > u64::from(u32::MAX) {
+            total = total.saturating_add(records);
+            if total > u64::from(u32::MAX) {
                 return Err(IndexError::bad_in(
-                    "segment record count overflows u32",
+                    "manifest records overflow the u32 id space",
                     "manifest",
                 ));
             }
@@ -304,7 +331,12 @@ impl Manifest {
     /// fsync + atomic rename. On return the manifest — and therefore the
     /// segment set it names — is crash-durable.
     pub fn save(&self, dir: &Path) -> Result<(), IndexError> {
-        let mut file = AtomicFile::create(&Manifest::path_in(dir))?;
+        self.save_to(&Manifest::path_in(dir))
+    }
+
+    /// Durably write this manifest to `path` (see [`Manifest::save`]).
+    pub fn save_to(&self, path: &Path) -> Result<(), IndexError> {
+        let mut file = AtomicFile::create(path)?;
         file.write_all(&self.encode())?;
         file.commit()?;
         Ok(())
@@ -312,7 +344,12 @@ impl Manifest {
 
     /// Load and verify `dir/MANIFEST`.
     pub fn load(dir: &Path) -> Result<Manifest, IndexError> {
-        let mut file = File::open(Manifest::path_in(dir))?;
+        Manifest::load_from(&Manifest::path_in(dir))
+    }
+
+    /// Load and verify the manifest file at `path`.
+    pub fn load_from(path: &Path) -> Result<Manifest, IndexError> {
+        let mut file = File::open(path)?;
         let len = file.metadata()?.len();
         if len < HEADER_LEN || len > HEADER_LEN + u64::from(MAX_BODY_LEN) {
             return Err(IndexError::bad_in(
@@ -485,6 +522,16 @@ mod tests {
         let mut bytes = sample().encode();
         bytes.push(0);
         assert!(Manifest::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn overflowing_totals_rejected() {
+        let mut m = sample();
+        m.segments[0].records = u32::MAX;
+        m.segments[1].records = 1;
+        assert!(Manifest::decode(&m.encode()).is_err());
+        m.segments[1].records = 0;
+        assert!(Manifest::decode(&m.encode()).is_ok());
     }
 
     #[test]

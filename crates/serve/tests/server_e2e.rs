@@ -158,8 +158,7 @@ fn concurrent_clients_match_direct_search_batch() {
         })
         .collect();
 
-    // Serve an identical database, with micro-batching enabled so the
-    // batched path is what gets compared.
+    // Serve an identical database over four workers.
     let mut config = ServeConfig::default();
     config.threads = 4;
     let handle = start(

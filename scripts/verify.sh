@@ -8,13 +8,14 @@ cargo fmt --all -- --check
 cargo build --release
 cargo test -q
 # The server end-to-end and durability suites are part of `cargo test`
-# above; run them again by name so a serving or on-disk-format
-# regression fails loudly on its own line.
+# above; run them again by name so a serving, on-disk-format or
+# sharded-layout regression fails loudly on its own line.
 cargo test -q -p nucdb-serve --test server_e2e
 cargo test -q -p nucdb --test durability
 cargo test -q -p nucdb --test explain_and_health
 cargo test -q -p nucdb --test sharding
 cargo test -q -p nucdb-serve --test shard_e2e
+cargo test -q -p nucdb-cli --test layouts
 cargo clippy --workspace -- -D warnings
 # The benchmark is a Cargo package of its own over the repository's
 # crates: build and test it here, so a core or serve API change that

@@ -5,15 +5,17 @@
 //! reporting the loss and the surviving shards' answers unchanged.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use nucdb::{
-    build_sharded_root, Database, DbConfig, IndexVariant, LocalShard, SearchParams, Shard,
-    ShardSet, ShardSetConfig, StoreVariant,
+    build_sharded_root, CoarseHit, CoarseOutcome, Database, DbConfig, FineMode, FineResult,
+    IndexVariant, LocalShard, SearchParams, Shard, ShardSet, ShardSetConfig, StoreVariant,
 };
 use nucdb_index::{
-    shard_dir_name, FaultPlan, Granularity, IndexParams, ListCodec, OnDiskIndex, ShardManifest,
+    shard_dir_name, FaultPlan, Granularity, IndexError, IndexParams, ListCodec, Manifest,
+    OnDiskIndex, SHARD_MANIFEST_FILE,
 };
 use nucdb_obs::MetricsRegistry;
 use nucdb_seq::DnaSeq;
@@ -184,8 +186,8 @@ fn disk_root_matches_the_joint_build() {
     let counts = build_sharded_root(&dir, records.clone(), 3, &config).unwrap();
     assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), 20);
 
-    let manifest = ShardManifest::load(&dir).unwrap();
-    assert_eq!(manifest.shards.len(), 3);
+    let manifest = Manifest::load_from(&dir.join(SHARD_MANIFEST_FILE)).unwrap();
+    assert_eq!(manifest.segments.len(), 3);
     assert_eq!(manifest.total_records(), 20);
 
     let registry = MetricsRegistry::new();
@@ -423,48 +425,6 @@ fn mismatched_store_is_a_dead_shard() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Hedging at the planner level: a delayed primary worker loses the
-/// race to the undelayed hedge replica, answers stay bit-identical, and
-/// the hedge counters tick.
-#[test]
-fn hedge_overtakes_a_delayed_shard_bit_identically() {
-    let records = corpus(16, 21);
-    let config = DbConfig::default();
-    let queries: Vec<DnaSeq> = records.iter().step_by(4).map(|(_, s)| s.clone()).collect();
-    let params = SearchParams::default();
-    let joint = Database::build(records.clone(), &config);
-    let want = joint_answers(&joint, &queries, &params);
-
-    let registry = MetricsRegistry::new();
-    let dbs = split(&records, 2)
-        .into_iter()
-        .map(|chunk| Database::build(chunk, &config))
-        .collect();
-    let set_config = ShardSetConfig {
-        hedge_after: Some(std::time::Duration::from_millis(20)),
-        ..ShardSetConfig::default()
-    };
-    let set = ShardSet::from_databases(dbs, set_config, &registry).unwrap();
-    // Shard 0's primary sleeps 400ms per phase; the hedge fires at 20ms
-    // and answers identically long before the primary wakes.
-    set.inject_delay_ns(0, 400_000_000);
-
-    assert_eq!(sharded_answers(&set, &queries, &params), want);
-
-    let hedges = registry
-        .counter_with("nucdb_shard_hedges_total", "", &[("shard", "shard-000")])
-        .get();
-    assert!(hedges >= 1, "no hedge was dispatched for the slow shard");
-    let wins = registry
-        .counter_with(
-            "nucdb_shard_hedge_wins_total",
-            "",
-            &[("shard", "shard-000")],
-        )
-        .get();
-    assert!(wins >= 1, "the hedge replica never won the race");
-}
-
 /// A shard past its per-phase deadline is dropped from the answer with
 /// a timeout failure; the survivors still answer.
 #[test]
@@ -478,7 +438,6 @@ fn deadline_expiry_degrades_instead_of_hanging() {
         .collect();
     let set_config = ShardSetConfig {
         shard_deadline: std::time::Duration::from_millis(50),
-        hedge_after: None, // no hedge: the delay must hit the deadline
     };
     let set = ShardSet::from_databases(dbs, set_config, &registry).unwrap();
     set.inject_delay_ns(1, 400_000_000);
@@ -491,6 +450,113 @@ fn deadline_expiry_degrades_instead_of_hanging() {
         .counter_with("nucdb_shard_timeouts_total", "", &[("shard", "shard-001")])
         .get();
     assert!(timeouts >= 1, "timeout counter not bumped");
+}
+
+/// A shard whose first coarse call panics, standing in for a bug in a
+/// shard implementation.
+struct PanicsOnce {
+    inner: LocalShard,
+    armed: AtomicBool,
+}
+
+impl Shard for PanicsOnce {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn num_records(&self) -> u32 {
+        self.inner.num_records()
+    }
+
+    fn index_params(&self) -> IndexParams {
+        self.inner.index_params()
+    }
+
+    fn coarse(
+        &self,
+        query_bases: &[nucdb_seq::Base],
+        params: &SearchParams,
+    ) -> Result<CoarseOutcome, IndexError> {
+        if self.armed.swap(false, Ordering::Relaxed) {
+            panic!("injected shard panic");
+        }
+        self.inner.coarse(query_bases, params)
+    }
+
+    fn fine(
+        &self,
+        query: &DnaSeq,
+        candidates: &[CoarseHit],
+        mode: FineMode,
+        params: &SearchParams,
+    ) -> Result<Vec<FineResult>, IndexError> {
+        self.inner.fine(query, candidates, mode, params)
+    }
+
+    fn record_id(&self, local: u32) -> String {
+        self.inner.record_id(local)
+    }
+
+    fn record_len(&self, local: u32) -> usize {
+        self.inner.record_len(local)
+    }
+
+    fn total_bases(&self) -> u64 {
+        self.inner.total_bases()
+    }
+}
+
+/// A panic inside one shard fails that shard for one query only: the
+/// query answers at once from the other shard, the failure names the
+/// panic, and the shard's worker lives on to answer the next query in
+/// full, bit-identically.
+#[test]
+fn a_panicking_shard_fails_one_query_and_recovers() {
+    let records = corpus(16, 41);
+    let config = DbConfig::default();
+    let queries = [records[2].1.clone(), records[11].1.clone()];
+    let params = SearchParams::default();
+    let joint = Database::build(records.clone(), &config);
+    let want = joint_answers(&joint, &queries, &params);
+
+    let mut chunks = split(&records, 2).into_iter();
+    let first = Database::build(chunks.next().unwrap(), &config);
+    let second = Database::build(chunks.next().unwrap(), &config);
+    let shards: Vec<Arc<dyn Shard>> = vec![
+        Arc::new(PanicsOnce {
+            inner: LocalShard::new(shard_dir_name(0), first),
+            armed: AtomicBool::new(true),
+        }),
+        Arc::new(LocalShard::new(shard_dir_name(1), second)),
+    ];
+    let set_config = ShardSetConfig::default();
+    let deadline = set_config.shard_deadline;
+    let set =
+        ShardSet::assemble(shards, Vec::new(), set_config, &MetricsRegistry::disabled()).unwrap();
+
+    let start = Instant::now();
+    let outcome = set.search(&queries[0], &params).unwrap();
+    assert!(
+        start.elapsed() < deadline,
+        "query 0 waited {:?}",
+        start.elapsed()
+    );
+    assert_eq!(
+        outcome.coverage,
+        nucdb::Coverage {
+            shards_ok: 1,
+            shards_total: 2
+        }
+    );
+    assert_eq!(outcome.failures.len(), 1);
+    assert_eq!(outcome.failures[0].shard, "shard-000");
+    assert!(
+        outcome.failures[0].error.contains("panicked"),
+        "{}",
+        outcome.failures[0].error
+    );
+
+    assert_eq!(sharded_answers(&set, &queries[1..], &params), want[1..]);
 }
 
 fn copy_tree(from: &PathBuf, to: &PathBuf) {
