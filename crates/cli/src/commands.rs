@@ -143,8 +143,8 @@ pub fn usage_for(command: &str) -> Option<&'static str> {
 --db may also be a sharded root (from `nucdb build --shards N`): queries
 scatter across the shards and gather one merged answer, bit-identical to
 an unsharded build; a warning names any shard that failed to answer
-(--explain, --trace and the flight recorder are per-database and not
-available over a sharded root)"
+(--explain, --trace, --trace-sample and the flight-recorder options are
+per-database and refused over a sharded root; --metrics works)"
         }
         "ingest" => {
             "usage: nucdb ingest --collection FILE --db DIR [options]
@@ -242,7 +242,9 @@ A sharded root (SHARDS manifest from `nucdb build --shards N`) is
 detected automatically: queries scatter across one worker per shard,
 every per-query answer carries a coverage object, and a shard that
 errors, panics or misses its deadline degrades the answer instead of
-erroring it. /metrics gains per-shard nucdb_shard_* families.
+erroring it. /metrics gains per-shard nucdb_shard_* families. --trace,
+--trace-sample and the flight-recorder options are per-database and
+refused there (the default recorder is simply off).
 
 endpoints: POST /search (FASTA or JSON body; \"explain\": true returns the
 plan), GET /metrics (Prometheus), GET /healthz, GET /readyz (503 until the
@@ -668,6 +670,32 @@ const OBS_VALUE_OPTS: [&str; 8] = [
     "slow-log-max-bytes",
 ];
 
+/// Options that attach per-database tooling (query plans, traces, the
+/// flight recorder); a sharded root has no single database to attach
+/// them to.
+const PER_DB_OPTS: [&str; 7] = [
+    "explain",
+    "trace",
+    "trace-sample",
+    "flight-recorder",
+    "slow-ms",
+    "slow-log",
+    "slow-log-max-bytes",
+];
+
+/// Over a sharded root: refuse the first per-database option passed.
+fn refuse_per_db_opts(args: &Args) -> Result<(), UsageError> {
+    match PER_DB_OPTS
+        .iter()
+        .find(|name| args.flag(name) || args.get(name).is_some())
+    {
+        Some(name) => Err(UsageError(format!(
+            "--{name} is not supported over a sharded root"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Where and how to dump the metrics snapshot after a run.
 struct MetricsOutput {
     registry: Arc<MetricsRegistry>,
@@ -940,11 +968,7 @@ pub fn search(raw: &[String]) -> CommandResult {
 
     let obs = ObsOptions::parse(&args)?;
     let (target, metrics_out) = if let Layout::Sharded(_) = Layout::load(&db_dir)? {
-        if params.explain {
-            return Err(
-                UsageError("--explain is not supported over a sharded root".to_string()).into(),
-            );
-        }
+        refuse_per_db_opts(&args)?;
         let registry = Arc::new(MetricsRegistry::new());
         let set = open_shards(&db_dir, nucdb::ShardSetConfig::default(), &registry)?;
         let metrics_out = obs.metrics.as_ref().map(|(path, json)| MetricsOutput {
@@ -1353,7 +1377,9 @@ pub fn serve(raw: &[String]) -> CommandResult {
             return Err(UsageError(format!("--{live_only} requires --live")).into());
         }
     }
-    if !sharded_mode && args.get("shard-deadline-ms").is_some() {
+    if sharded_mode {
+        refuse_per_db_opts(&args)?;
+    } else if args.get("shard-deadline-ms").is_some() {
         return Err(
             UsageError("--shard-deadline-ms requires a sharded database root".to_string()).into(),
         );
@@ -1399,7 +1425,7 @@ pub fn serve(raw: &[String]) -> CommandResult {
         )?
     } else if sharded_mode {
         // Sharded root: per-shard workers are the intra-query
-        // parallelism; trace/forensics are per-database and not bound.
+        // parallelism; the per-database options were refused above.
         let shard_config = nucdb::ShardSetConfig {
             shard_deadline: std::time::Duration::from_millis(
                 args.get_or("shard-deadline-ms", 10_000u64)?,

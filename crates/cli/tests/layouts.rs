@@ -6,8 +6,9 @@
 //! `fsck --json` documents are checked exactly as a user sees them.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use nucdb_obs::json::{self, Value};
 
@@ -234,6 +235,74 @@ fn explain_is_refused_over_a_sharded_root() {
     ]);
     assert_eq!(output.status.code(), Some(1));
     assert!(stderr(&output).contains("--explain is not supported over a sharded root"));
+}
+
+#[test]
+fn per_database_observability_is_refused_over_a_sharded_root() {
+    let layouts = Layouts::new("obsflags");
+    let sharded = layouts.path("sharded");
+    let queries = layouts.path("queries.fasta");
+    let trace = layouts.path("t.jsonl");
+    let slow_log = layouts.path("slow.jsonl");
+    // The first option of each set is the one the error names.
+    let option_sets: [&[&str]; 6] = [
+        &["--trace", &trace],
+        &["--trace", &trace, "--trace-sample", "2"],
+        &["--flight-recorder", "8"],
+        &["--slow-ms", "1"],
+        &["--slow-log", &slow_log],
+        &["--slow-log", &slow_log, "--slow-log-max-bytes", "4096"],
+    ];
+    for options in option_sets {
+        let mut args = vec!["search", "--db", &sharded, "--query", &queries];
+        args.extend_from_slice(options);
+        let output = nucdb(&args);
+        assert_eq!(output.status.code(), Some(1), "{options:?}");
+        let expected = format!("{} is not supported over a sharded root", options[0]);
+        assert!(stderr(&output).contains(&expected), "{}", stderr(&output));
+    }
+    assert!(!Path::new(&trace).exists());
+    assert!(!Path::new(&slow_log).exists());
+
+    // serve refuses them too, instead of serving without them.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nucdb"))
+        .args(["serve", "--db", &sharded, "--addr", "127.0.0.1:0"])
+        .args(["--trace", &trace])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("serve --trace kept serving a sharded root");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let output = child.wait_with_output().unwrap();
+    assert_eq!(status.code(), Some(1));
+    assert!(stderr(&output).contains("--trace is not supported over a sharded root"));
+    assert!(!Path::new(&trace).exists());
+
+    // --metrics is not per-database and keeps working.
+    let metrics = layouts.path("m.prom");
+    ok(&nucdb(&[
+        "search",
+        "--db",
+        &sharded,
+        "--query",
+        &queries,
+        "--metrics",
+        &metrics,
+    ]));
+    assert!(std::fs::read_to_string(&metrics)
+        .unwrap()
+        .contains("nucdb_shard_"));
 }
 
 #[test]

@@ -20,7 +20,7 @@
 
 use nucdb_index::{
     CompressedIndex, FetchStats, Granularity, IndexError, IndexParams, OnDiskIndex, PostingsList,
-    PostingsVisitor,
+    PostingsVisitor, RawPostings,
 };
 use nucdb_seq::Base;
 
@@ -39,13 +39,20 @@ const GROUP_LEN: usize = 1 << GROUP_SHIFT;
 const MAX_SKIP_SCAN_GROUPS: usize = 64;
 
 /// Anything coarse search can fetch postings from (in-memory index,
-/// on-disk index, or the engine's variant wrapper).
+/// on-disk index, a segmented view, or the engine's variant wrapper).
 ///
-/// The streaming methods (`fetch_with`, `fetch_counts_with`) are what the
-/// hot path calls: they drive a visitor per posting instead of
-/// materialising nested lists, reusing `io_buf` for the raw list bytes.
-/// Their default impls are backed by the materialising methods, so
-/// third-party sources keep compiling (and working) unchanged.
+/// A source implements one fetch: the visitor stream
+/// ([`fetch_stream`], [`fetch_counts_stream`]), which is all coarse
+/// search calls. It drives a visitor per posting instead of
+/// materialising nested lists, reuses `io_buf` for the raw list bytes,
+/// lets the visitor veto whole blocks via
+/// [`PostingsVisitor::skip_block`], and returns the list's
+/// [`FetchStats`] (bytes read, ids decoded, blocks decoded/skipped;
+/// `Ok(None)` if the interval is absent). The other fetch methods are
+/// provided on top of the stream.
+///
+/// [`fetch_stream`]: PostingsSource::fetch_stream
+/// [`fetch_counts_stream`]: PostingsSource::fetch_counts_stream
 pub trait PostingsSource {
     /// Number of records the index covers.
     fn num_records(&self) -> u32;
@@ -55,58 +62,69 @@ pub trait PostingsSource {
     /// The index parameters (interval length, stride, stopping,
     /// granularity).
     fn index_params(&self) -> &IndexParams;
+
+    /// Visitor-driven postings fetch: `visit(record, offset)` for every
+    /// posting of `code`, in record order with offsets ascending per
+    /// record (offset granularity only).
+    fn fetch_stream(
+        &self,
+        code: u64,
+        io_buf: &mut Vec<u8>,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError>;
+
+    /// Counts-mode companion of [`fetch_stream`]: `visit(record, count)`
+    /// per entry (either granularity), with the same skip hook and stats.
+    ///
+    /// [`fetch_stream`]: PostingsSource::fetch_stream
+    fn fetch_counts_stream(
+        &self,
+        code: u64,
+        io_buf: &mut Vec<u8>,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError>;
+
     /// Fetch the postings list for an interval code (offset granularity
     /// only).
-    fn fetch(&self, code: u64) -> Result<Option<PostingsList>, IndexError>;
+    fn fetch(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
+        let mut raw = RawPostings::default();
+        let found = self.fetch_stream(code, &mut Vec::new(), &mut raw)?;
+        Ok(found.map(|_| raw.into_list()))
+    }
+
     /// Fetch `(record, count)` pairs for an interval code (either
     /// granularity).
-    fn fetch_counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError>;
+    fn fetch_counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
+        let mut raw = RawPostings::default();
+        let found = self.fetch_counts_stream(code, &mut Vec::new(), &mut raw)?;
+        Ok(found.map(|_| raw.into_pairs()))
+    }
 
-    /// Streaming fetch: call `visit(record, offset)` for every posting of
-    /// `code`, in record order with offsets ascending per record, reusing
-    /// `io_buf` as the raw-bytes scratch. Returns the list's `df`
-    /// (`Ok(None)` if the interval is absent).
+    /// [`fetch_stream`] through a closure, returning the list's `df`.
+    ///
+    /// [`fetch_stream`]: PostingsSource::fetch_stream
     fn fetch_with(
         &self,
         code: u64,
         io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
+        mut visit: &mut dyn FnMut(u32, u32),
     ) -> Result<Option<u32>, IndexError> {
-        let _ = io_buf;
-        match self.fetch(code)? {
-            None => Ok(None),
-            Some(list) => {
-                let df = list.df() as u32;
-                for posting in &list.entries {
-                    for &offset in &posting.offsets {
-                        visit(posting.record, offset);
-                    }
-                }
-                Ok(Some(df))
-            }
-        }
+        Ok(self.fetch_stream(code, io_buf, &mut visit)?.map(|s| s.df))
     }
 
-    /// Streaming counts fetch: call `visit(record, count)` per entry of
-    /// `code`'s list (either granularity). Returns the list's `df`
-    /// (`Ok(None)` if the interval is absent).
+    /// [`fetch_counts_stream`] through a closure, returning the list's
+    /// `df`.
+    ///
+    /// [`fetch_counts_stream`]: PostingsSource::fetch_counts_stream
     fn fetch_counts_with(
         &self,
         code: u64,
         io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
+        mut visit: &mut dyn FnMut(u32, u32),
     ) -> Result<Option<u32>, IndexError> {
-        let _ = io_buf;
-        match self.fetch_counts(code)? {
-            None => Ok(None),
-            Some(counts) => {
-                let df = counts.len() as u32;
-                for (record, count) in counts {
-                    visit(record, count);
-                }
-                Ok(Some(df))
-            }
-        }
+        Ok(self
+            .fetch_counts_stream(code, io_buf, &mut visit)?
+            .map(|s| s.df))
     }
 
     /// The largest per-record offset count in `code`'s list, when the
@@ -117,51 +135,13 @@ pub trait PostingsSource {
         let _ = code;
         None
     }
-
-    /// Visitor-driven fetch with work accounting: like [`fetch_with`],
-    /// but the visitor may also veto whole blocks via
-    /// [`PostingsVisitor::skip_block`], and the return carries
-    /// [`FetchStats`] (bytes read, ids decoded, blocks decoded/skipped)
-    /// instead of a bare `df`. The default wraps [`fetch_with`]: no
-    /// skipping, plain stats.
-    ///
-    /// [`fetch_with`]: PostingsSource::fetch_with
-    fn fetch_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        Ok(self
-            .fetch_with(code, io_buf, &mut |record, offset| {
-                visitor.visit(record, offset)
-            })?
-            .map(FetchStats::plain))
-    }
-
-    /// Counts-mode companion of [`fetch_stream`]: `visit(record, count)`
-    /// per entry, with the same skip hook and stats.
-    ///
-    /// [`fetch_stream`]: PostingsSource::fetch_stream
-    fn fetch_counts_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        Ok(self
-            .fetch_counts_with(code, io_buf, &mut |record, count| {
-                visitor.visit(record, count)
-            })?
-            .map(FetchStats::plain))
-    }
 }
 
-/// Implement the forwarding boilerplate of [`PostingsSource`] for a
-/// concrete index type; the caller supplies only the two streaming
-/// methods (which differ in whether the type wants the I/O buffer).
+/// Implement [`PostingsSource`] for a concrete index type by forwarding
+/// to its inherent methods; the caller supplies the two streams, which
+/// differ in whether the type wants the I/O buffer.
 macro_rules! forward_postings_source {
-    ($ty:ty { $($streaming:item)* }) => {
+    ($ty:ty { $($stream:item)* }) => {
         impl PostingsSource for $ty {
             fn num_records(&self) -> u32 {
                 <$ty>::num_records(self)
@@ -175,42 +155,16 @@ macro_rules! forward_postings_source {
                 self.params()
             }
 
-            fn fetch(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-                self.postings(code)
+            fn list_max_count(&self, code: u64) -> Option<u32> {
+                <$ty>::list_max_count(self, code)
             }
 
-            fn fetch_counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
-                self.counts(code)
-            }
-
-            $($streaming)*
+            $($stream)*
         }
     };
 }
 
 forward_postings_source!(CompressedIndex {
-    fn fetch_with(
-        &self,
-        code: u64,
-        _io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        self.postings_with(code, visit)
-    }
-
-    fn fetch_counts_with(
-        &self,
-        code: u64,
-        _io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        self.counts_with(code, visit)
-    }
-
-    fn list_max_count(&self, code: u64) -> Option<u32> {
-        CompressedIndex::list_max_count(self, code)
-    }
-
     fn fetch_stream(
         &self,
         code: u64,
@@ -231,28 +185,6 @@ forward_postings_source!(CompressedIndex {
 });
 
 forward_postings_source!(OnDiskIndex {
-    fn fetch_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        self.postings_with(code, io_buf, visit)
-    }
-
-    fn fetch_counts_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        self.counts_with(code, io_buf, visit)
-    }
-
-    fn list_max_count(&self, code: u64) -> Option<u32> {
-        OnDiskIndex::list_max_count(self, code)
-    }
-
     fn fetch_stream(
         &self,
         code: u64,

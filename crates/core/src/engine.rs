@@ -8,7 +8,7 @@ use std::time::Instant;
 use nucdb_align::Alignment;
 use nucdb_index::{
     CompressedIndex, FetchStats, IndexBuilder, IndexError, IndexParams, ListCodec, OnDiskIndex,
-    PostingsList, PostingsVisitor,
+    PostingsVisitor,
 };
 use nucdb_seq::DnaSeq;
 
@@ -59,79 +59,28 @@ pub enum IndexVariant {
     Segmented(crate::segment::SegmentedIndex),
 }
 
+impl IndexVariant {
+    /// The wrapped index as a postings source.
+    fn source(&self) -> &dyn PostingsSource {
+        match self {
+            IndexVariant::Memory(i) => i,
+            IndexVariant::Disk(i) => i,
+            IndexVariant::Segmented(i) => i,
+        }
+    }
+}
+
 impl PostingsSource for IndexVariant {
     fn num_records(&self) -> u32 {
-        match self {
-            IndexVariant::Memory(i) => i.num_records(),
-            IndexVariant::Disk(i) => i.num_records(),
-            IndexVariant::Segmented(i) => i.num_records(),
-        }
+        self.source().num_records()
     }
 
     fn record_lens(&self) -> &[u32] {
-        match self {
-            IndexVariant::Memory(i) => i.record_lens(),
-            IndexVariant::Disk(i) => i.record_lens(),
-            IndexVariant::Segmented(i) => i.record_lens(),
-        }
+        self.source().record_lens()
     }
 
     fn index_params(&self) -> &IndexParams {
-        match self {
-            IndexVariant::Memory(i) => i.params(),
-            IndexVariant::Disk(i) => i.params(),
-            IndexVariant::Segmented(i) => i.index_params(),
-        }
-    }
-
-    fn fetch(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.postings(code),
-            IndexVariant::Disk(i) => i.postings(code),
-            IndexVariant::Segmented(i) => i.fetch(code),
-        }
-    }
-
-    fn fetch_counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.counts(code),
-            IndexVariant::Disk(i) => i.counts(code),
-            IndexVariant::Segmented(i) => i.fetch_counts(code),
-        }
-    }
-
-    fn fetch_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.postings_with(code, visit),
-            IndexVariant::Disk(i) => i.postings_with(code, io_buf, visit),
-            IndexVariant::Segmented(i) => i.fetch_with(code, io_buf, visit),
-        }
-    }
-
-    fn fetch_counts_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.counts_with(code, visit),
-            IndexVariant::Disk(i) => i.counts_with(code, io_buf, visit),
-            IndexVariant::Segmented(i) => i.fetch_counts_with(code, io_buf, visit),
-        }
-    }
-
-    fn list_max_count(&self, code: u64) -> Option<u32> {
-        match self {
-            IndexVariant::Memory(i) => i.list_max_count(code),
-            IndexVariant::Disk(i) => i.list_max_count(code),
-            IndexVariant::Segmented(i) => PostingsSource::list_max_count(i, code),
-        }
+        self.source().index_params()
     }
 
     fn fetch_stream(
@@ -140,11 +89,7 @@ impl PostingsSource for IndexVariant {
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.postings_stream(code, visitor),
-            IndexVariant::Disk(i) => i.postings_stream(code, io_buf, visitor),
-            IndexVariant::Segmented(i) => i.fetch_stream(code, io_buf, visitor),
-        }
+        self.source().fetch_stream(code, io_buf, visitor)
     }
 
     fn fetch_counts_stream(
@@ -153,11 +98,11 @@ impl PostingsSource for IndexVariant {
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        match self {
-            IndexVariant::Memory(i) => i.counts_stream(code, visitor),
-            IndexVariant::Disk(i) => i.counts_stream(code, io_buf, visitor),
-            IndexVariant::Segmented(i) => i.fetch_counts_stream(code, io_buf, visitor),
-        }
+        self.source().fetch_counts_stream(code, io_buf, visitor)
+    }
+
+    fn list_max_count(&self, code: u64) -> Option<u32> {
+        self.source().list_max_count(code)
     }
 }
 

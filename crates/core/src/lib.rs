@@ -77,8 +77,8 @@ pub use health::{
 pub use metrics::SearchMetrics;
 pub use params::{SearchParams, Strand};
 pub use segment::{
-    CompactionRun, InsertOutcome, LiveDatabase, LiveOptions, LiveStatus, SegmentIndexPart,
-    SegmentStorePart, SegmentedIndex, SegmentedStore,
+    CompactionRun, InsertOutcome, LiveDatabase, LiveOptions, LiveStatus, SegmentStorePart,
+    SegmentedIndex, SegmentedStore,
 };
 pub use shard::{
     build_sharded_root, open_shard_dir, Coverage, LocalShard, SearchTarget, Shard, ShardFailure,

@@ -7,10 +7,12 @@
 //! * [`SegmentedIndex`] / [`SegmentedStore`] — read-side composites
 //!   implementing the same [`PostingsSource`] / [`RecordSource`] traits
 //!   as a monolithic index/store. Each part covers a contiguous range of
-//!   global record ids; postings are visited part by part in ascending
-//!   base order with record ids remapped at the boundary, so the visit
-//!   sequence — and therefore every coarse score, candidate cut, and
-//!   final ranking — is bit-identical to a joint single-index build.
+//!   global record ids. An index part is any shared postings source (an
+//!   on-disk segment or a memtable run); a code's postings are streamed
+//!   part by part in ascending base order through a visitor that shifts
+//!   record ids at the boundary, so the visit sequence — and therefore
+//!   every coarse score, candidate cut, and final ranking — is
+//!   bit-identical to a joint single-index build.
 //! * [`LiveDatabase`] — the writer: an in-memory write buffer (memtable)
 //!   of index+store runs, flushed to immutable on-disk segments
 //!   (`NUCIDX03/04` + `NUCSTO02`, both written atomically) tracked by the
@@ -38,7 +40,7 @@ use std::time::Instant;
 use nucdb_index::manifest::{segment_index_file, segment_store_file, Manifest, SegmentMeta};
 use nucdb_index::{
     load_index, merge_indexes, write_index, CompressedIndex, FetchStats, Granularity, IndexBuilder,
-    IndexError, IndexParams, OnDiskIndex, Posting, PostingsList, PostingsVisitor,
+    IndexError, IndexParams, OnDiskIndex, PostingsVisitor,
 };
 use nucdb_obs::{Counter, Forensics, Gauge, MetricsRegistry, TraceSink};
 use nucdb_seq::{Base, DnaSeq, SeqError};
@@ -52,123 +54,23 @@ use crate::store::{OnDiskStore, RecordSource, SequenceStore, StorageMode, StoreV
 // Read side: segmented index and store
 // ---------------------------------------------------------------------------
 
-/// One index part of a [`SegmentedIndex`]: a memtable run (in memory) or
-/// an immutable on-disk segment. Parts are shared via `Arc` so an old
-/// query snapshot and the current one can reference the same bytes.
-#[derive(Clone)]
-pub enum SegmentIndexPart {
-    /// In-memory part (a memtable run, or a test-built index).
-    Memory(Arc<CompressedIndex>),
-    /// Immutable on-disk segment index.
-    Disk(Arc<OnDiskIndex>),
-}
-
-impl SegmentIndexPart {
-    fn num_records(&self) -> u32 {
-        match self {
-            SegmentIndexPart::Memory(i) => i.num_records(),
-            SegmentIndexPart::Disk(i) => i.num_records(),
-        }
-    }
-
-    fn record_lens(&self) -> &[u32] {
-        match self {
-            SegmentIndexPart::Memory(i) => i.record_lens(),
-            SegmentIndexPart::Disk(i) => i.record_lens(),
-        }
-    }
-
-    fn params(&self) -> &IndexParams {
-        match self {
-            SegmentIndexPart::Memory(i) => i.params(),
-            SegmentIndexPart::Disk(i) => i.params(),
-        }
-    }
-
-    fn postings(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.postings(code),
-            SegmentIndexPart::Disk(i) => i.postings(code),
-        }
-    }
-
-    fn counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.counts(code),
-            SegmentIndexPart::Disk(i) => i.counts(code),
-        }
-    }
-
-    fn postings_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.postings_with(code, visit),
-            SegmentIndexPart::Disk(i) => i.postings_with(code, io_buf, visit),
-        }
-    }
-
-    fn counts_with(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.counts_with(code, visit),
-            SegmentIndexPart::Disk(i) => i.counts_with(code, io_buf, visit),
-        }
-    }
-
-    fn list_max_count(&self, code: u64) -> Option<u32> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.list_max_count(code),
-            SegmentIndexPart::Disk(i) => i.list_max_count(code),
-        }
-    }
-
-    fn postings_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.postings_stream(code, visitor),
-            SegmentIndexPart::Disk(i) => i.postings_stream(code, io_buf, visitor),
-        }
-    }
-
-    fn counts_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        match self {
-            SegmentIndexPart::Memory(i) => i.counts_stream(code, visitor),
-            SegmentIndexPart::Disk(i) => i.counts_stream(code, io_buf, visitor),
-        }
-    }
-}
-
 struct IndexPart {
     /// First global record id this part covers.
     base: u32,
     /// Human-readable name for explain plans (`seg-000003`, `memtable`).
     label: String,
-    inner: SegmentIndexPart,
+    inner: Arc<dyn PostingsSource + Send + Sync>,
 }
 
 /// A [`PostingsSource`] over an ordered set of index parts with disjoint,
-/// contiguous record-id ranges. Postings of a code are visited part by
-/// part in ascending base order with each part's record ids shifted by
-/// its base — exactly the sequence a joint single-index build would
-/// produce, so coarse search over a segmented index is bit-identical to
-/// coarse search over the merged index.
+/// contiguous record-id ranges. A part is any shared postings source: a
+/// memtable run (a [`CompressedIndex`]) or an immutable on-disk segment
+/// (an [`OnDiskIndex`]); the `Arc` lets an old query snapshot and the
+/// current one share the same bytes. Postings of a code are streamed
+/// part by part in ascending base order with each part's record ids
+/// shifted by its base — exactly the sequence a joint single-index build
+/// would produce, so coarse search over a segmented index is
+/// bit-identical to coarse search over the merged index.
 pub struct SegmentedIndex {
     parts: Vec<IndexPart>,
     /// Concatenated per-record lengths across all parts.
@@ -177,17 +79,19 @@ pub struct SegmentedIndex {
 }
 
 impl SegmentedIndex {
-    /// Compose parts (in global record-id order) into one index view.
-    /// All parts must agree on interval parameters and granularity and
-    /// be unstopped (live directories never use stopping; a stopped
+    /// Compose labelled parts (in global record-id order) into one index
+    /// view. All parts must agree on interval parameters and granularity
+    /// and be unstopped (live directories never use stopping; a stopped
     /// segment would break merge identity).
-    pub fn new(parts: Vec<(String, SegmentIndexPart)>) -> Result<SegmentedIndex, IndexError> {
+    pub fn new(
+        parts: Vec<(String, Arc<dyn PostingsSource + Send + Sync>)>,
+    ) -> Result<SegmentedIndex, IndexError> {
         let Some((_, first)) = parts.first() else {
             return Err(IndexError::Unsupported(
                 "a segmented index needs at least one part",
             ));
         };
-        let params = first.params().clone();
+        let params = first.index_params().clone();
         if params.stopping.is_some() {
             return Err(IndexError::Unsupported(
                 "segmented indexes must be unstopped",
@@ -197,7 +101,7 @@ impl SegmentedIndex {
         let mut assembled = Vec::with_capacity(parts.len());
         let mut base = 0u64;
         for (label, part) in parts {
-            let p = part.params();
+            let p = part.index_params();
             if p.k != params.k
                 || p.stride != params.stride
                 || p.granularity != params.granularity
@@ -244,6 +148,39 @@ impl SegmentedIndex {
             })
             .collect()
     }
+
+    /// Stream `code` from every part in base order, record ids shifted
+    /// to global ids: `(record, offset)` pairs when `emit_offsets` is
+    /// set, else `(record, count)` pairs. The parts' stats are summed.
+    fn stream_parts(
+        &self,
+        code: u64,
+        io_buf: &mut Vec<u8>,
+        emit_offsets: bool,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        let mut total: Option<FetchStats> = None;
+        for part in &self.parts {
+            let mut shifted = ShiftVisitor {
+                base: part.base,
+                inner: visitor,
+            };
+            let fetched = if emit_offsets {
+                part.inner.fetch_stream(code, io_buf, &mut shifted)?
+            } else {
+                part.inner.fetch_counts_stream(code, io_buf, &mut shifted)?
+            };
+            if let Some(stats) = fetched {
+                let acc = total.get_or_insert_with(FetchStats::default);
+                acc.df += stats.df;
+                acc.bytes_read += stats.bytes_read;
+                acc.ids_decoded += stats.ids_decoded;
+                acc.blocks_decoded += stats.blocks_decoded;
+                acc.blocks_skipped += stats.blocks_skipped;
+            }
+        }
+        Ok(total)
+    }
 }
 
 /// Visitor adapter shifting a part's local record ids to global ids
@@ -278,74 +215,22 @@ impl PostingsSource for SegmentedIndex {
         &self.params
     }
 
-    fn fetch(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        let mut entries: Vec<Posting> = Vec::new();
-        let mut present = false;
-        for part in &self.parts {
-            if let Some(list) = part.inner.postings(code)? {
-                present = true;
-                entries.extend(list.entries.into_iter().map(|p| Posting {
-                    record: p.record + part.base,
-                    offsets: p.offsets,
-                }));
-            }
-        }
-        Ok(present.then_some(PostingsList { entries }))
-    }
-
-    fn fetch_counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        let mut present = false;
-        for part in &self.parts {
-            if let Some(counts) = part.inner.counts(code)? {
-                present = true;
-                out.extend(counts.into_iter().map(|(r, c)| (r + part.base, c)));
-            }
-        }
-        Ok(present.then_some(out))
-    }
-
-    fn fetch_with(
+    fn fetch_stream(
         &self,
         code: u64,
         io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        let mut df_total = 0u32;
-        let mut present = false;
-        for part in &self.parts {
-            let base = part.base;
-            if let Some(df) = part
-                .inner
-                .postings_with(code, io_buf, &mut |record, offset| {
-                    visit(record + base, offset)
-                })?
-            {
-                present = true;
-                df_total += df;
-            }
-        }
-        Ok(present.then_some(df_total))
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        self.stream_parts(code, io_buf, true, visitor)
     }
 
-    fn fetch_counts_with(
+    fn fetch_counts_stream(
         &self,
         code: u64,
         io_buf: &mut Vec<u8>,
-        visit: &mut dyn FnMut(u32, u32),
-    ) -> Result<Option<u32>, IndexError> {
-        let mut df_total = 0u32;
-        let mut present = false;
-        for part in &self.parts {
-            let base = part.base;
-            if let Some(df) = part.inner.counts_with(code, io_buf, &mut |record, count| {
-                visit(record + base, count)
-            })? {
-                present = true;
-                df_total += df;
-            }
-        }
-        Ok(present.then_some(df_total))
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
+        self.stream_parts(code, io_buf, false, visitor)
     }
 
     fn list_max_count(&self, code: u64) -> Option<u32> {
@@ -357,60 +242,6 @@ impl PostingsSource for SegmentedIndex {
         }
         Some(max)
     }
-
-    fn fetch_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        let mut total: Option<FetchStats> = None;
-        for part in &self.parts {
-            let mut shifted = ShiftVisitor {
-                base: part.base,
-                inner: visitor,
-            };
-            if let Some(stats) = part.inner.postings_stream(code, io_buf, &mut shifted)? {
-                total = Some(merge_stats(total, stats));
-            }
-        }
-        Ok(total)
-    }
-
-    fn fetch_counts_stream(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visitor: &mut dyn PostingsVisitor,
-    ) -> Result<Option<FetchStats>, IndexError> {
-        let mut total: Option<FetchStats> = None;
-        for part in &self.parts {
-            let mut shifted = ShiftVisitor {
-                base: part.base,
-                inner: visitor,
-            };
-            if let Some(stats) = part.inner.counts_stream(code, io_buf, &mut shifted)? {
-                total = Some(merge_stats(total, stats));
-            }
-        }
-        Ok(total)
-    }
-}
-
-fn merge_stats(total: Option<FetchStats>, part: FetchStats) -> FetchStats {
-    let mut acc = total.unwrap_or(FetchStats {
-        df: 0,
-        bytes_read: 0,
-        ids_decoded: 0,
-        blocks_decoded: 0,
-        blocks_skipped: 0,
-    });
-    acc.df += part.df;
-    acc.bytes_read += part.bytes_read;
-    acc.ids_decoded += part.ids_decoded;
-    acc.blocks_decoded += part.blocks_decoded;
-    acc.blocks_skipped += part.blocks_skipped;
-    acc
 }
 
 /// One store part of a [`SegmentedStore`].
@@ -782,16 +613,7 @@ impl LiveDatabase {
     /// segment. The configuration is recovered from the manifest itself.
     pub fn open(dir: &Path, opts: LiveOptions) -> Result<LiveDatabase, IndexError> {
         let manifest = Manifest::load(dir)?;
-        let config = DbConfig {
-            index: IndexParams {
-                k: manifest.k,
-                stride: manifest.stride,
-                stopping: None,
-                granularity: manifest.granularity,
-            },
-            codec: manifest.codec,
-            storage: storage_from_tag(manifest.storage)?,
-        };
+        let config = config_of(&manifest)?;
         let mut removed = 0u64;
         for orphan in manifest.orphans_in(dir)? {
             if std::fs::remove_file(dir.join(&orphan)).is_ok() {
@@ -808,35 +630,8 @@ impl LiveDatabase {
     /// Segment I/O counters are bound to `registry` at open time.
     pub fn open_readonly(dir: &Path, registry: &MetricsRegistry) -> Result<Database, IndexError> {
         let manifest = Manifest::load(dir)?;
-        let config = DbConfig {
-            index: IndexParams {
-                k: manifest.k,
-                stride: manifest.stride,
-                stopping: None,
-                granularity: manifest.granularity,
-            },
-            codec: manifest.codec,
-            storage: storage_from_tag(manifest.storage)?,
-        };
-        if manifest.segments.is_empty() {
-            return Ok(Database::build(std::iter::empty(), &config));
-        }
-        let mut index_parts = Vec::with_capacity(manifest.segments.len());
-        let mut store_parts = Vec::with_capacity(manifest.segments.len());
-        for meta in &manifest.segments {
-            let seg = open_segment(dir, meta, registry)?;
-            index_parts.push((
-                format!("seg-{:06}", meta.id),
-                SegmentIndexPart::Disk(seg.index),
-            ));
-            store_parts.push(SegmentStorePart::Disk(seg.store));
-        }
-        let mut db = Database::from_variants(
-            StoreVariant::Segmented(SegmentedStore::new(store_parts)),
-            IndexVariant::Segmented(SegmentedIndex::new(index_parts)?),
-        );
-        db.bind_metrics(registry);
-        Ok(db)
+        let segments = open_segments(dir, &manifest, registry)?;
+        view_of(&config_of(&manifest)?, &segments, &[], registry)
     }
 
     /// [`LiveDatabase::open`] if `dir` holds a manifest, else
@@ -860,10 +655,7 @@ impl LiveDatabase {
         opts: LiveOptions,
         orphans_removed: u64,
     ) -> Result<LiveDatabase, IndexError> {
-        let mut segments = Vec::with_capacity(manifest.segments.len());
-        for meta in &manifest.segments {
-            segments.push(open_segment(dir, meta, &opts.registry)?);
-        }
+        let segments = open_segments(dir, &manifest, &opts.registry)?;
         let next_id = manifest.next_segment_id();
         let metrics = LiveMetrics::new(&opts.registry);
         let inner = LiveInner {
@@ -1233,33 +1025,12 @@ impl LiveDatabase {
     /// Rebuild the query snapshot from the current segments + memtable
     /// and publish it. Readers holding the old snapshot are unaffected.
     fn rebuild_view(&self, inner: &LiveInner) -> Result<(), IndexError> {
-        let mut db = if inner.segments.is_empty() && inner.runs.is_empty() {
-            // Empty database: a plain empty memory build with the right
-            // parameters (a segmented view needs at least one part).
-            Database::build(std::iter::empty(), &self.config)
-        } else {
-            let mut index_parts = Vec::new();
-            let mut store_parts = Vec::new();
-            for seg in &inner.segments {
-                index_parts.push((
-                    format!("seg-{:06}", seg.meta.id),
-                    SegmentIndexPart::Disk(seg.index.clone()),
-                ));
-                store_parts.push(SegmentStorePart::Disk(seg.store.clone()));
-            }
-            for run in &inner.runs {
-                index_parts.push((
-                    "memtable".to_string(),
-                    SegmentIndexPart::Memory(run.index.clone()),
-                ));
-                store_parts.push(SegmentStorePart::Memory(run.store.clone()));
-            }
-            Database::from_variants(
-                StoreVariant::Segmented(SegmentedStore::new(store_parts)),
-                IndexVariant::Segmented(SegmentedIndex::new(index_parts)?),
-            )
-        };
-        db.bind_metrics(&self.opts.registry);
+        let mut db = view_of(
+            &self.config,
+            &inner.segments,
+            &inner.runs,
+            &self.opts.registry,
+        )?;
         db.set_trace(self.opts.trace.clone());
         db.set_forensics(self.opts.forensics.clone());
         *self.view.write().expect("live view lock poisoned") = Arc::new(db);
@@ -1269,6 +1040,65 @@ impl LiveDatabase {
             .set(i64::from(inner.memtable_records()));
         Ok(())
     }
+}
+
+/// The build configuration a live directory's manifest records.
+fn config_of(manifest: &Manifest) -> Result<DbConfig, IndexError> {
+    Ok(DbConfig {
+        index: IndexParams {
+            k: manifest.k,
+            stride: manifest.stride,
+            stopping: None,
+            granularity: manifest.granularity,
+        },
+        codec: manifest.codec,
+        storage: storage_from_tag(manifest.storage)?,
+    })
+}
+
+/// The query view over on-disk `segments` then memtable `runs`, in
+/// record-id order, with its metrics bound to `registry`. With neither,
+/// it is a plain empty build with `config`'s parameters (a segmented
+/// view needs at least one part).
+fn view_of(
+    config: &DbConfig,
+    segments: &[DiskSegment],
+    runs: &[MemRun],
+    registry: &MetricsRegistry,
+) -> Result<Database, IndexError> {
+    let mut db = if segments.is_empty() && runs.is_empty() {
+        Database::build(std::iter::empty(), config)
+    } else {
+        let mut index_parts: Vec<(String, Arc<dyn PostingsSource + Send + Sync>)> = Vec::new();
+        let mut store_parts = Vec::new();
+        for seg in segments {
+            index_parts.push((format!("seg-{:06}", seg.meta.id), seg.index.clone()));
+            store_parts.push(SegmentStorePart::Disk(seg.store.clone()));
+        }
+        for run in runs {
+            index_parts.push(("memtable".to_string(), run.index.clone()));
+            store_parts.push(SegmentStorePart::Memory(run.store.clone()));
+        }
+        Database::from_variants(
+            StoreVariant::Segmented(SegmentedStore::new(store_parts)),
+            IndexVariant::Segmented(SegmentedIndex::new(index_parts)?),
+        )
+    };
+    db.bind_metrics(registry);
+    Ok(db)
+}
+
+/// Open every segment `manifest` names, in record-id order.
+fn open_segments(
+    dir: &Path,
+    manifest: &Manifest,
+    registry: &MetricsRegistry,
+) -> Result<Vec<DiskSegment>, IndexError> {
+    manifest
+        .segments
+        .iter()
+        .map(|meta| open_segment(dir, meta, registry))
+        .collect()
 }
 
 fn open_segment(
@@ -1365,10 +1195,8 @@ mod tests {
                 builder.add_record(&seq.representative_bases());
                 store.add(id.clone(), seq);
             }
-            parts.push((
-                format!("part-{}", parts.len()),
-                SegmentIndexPart::Memory(Arc::new(builder.finish())),
-            ));
+            let part: Arc<dyn PostingsSource + Send + Sync> = Arc::new(builder.finish());
+            parts.push((format!("part-{}", parts.len()), part));
             stores.push(SegmentStorePart::Memory(Arc::new(store)));
         }
         let segmented = Database::from_variants(

@@ -1045,7 +1045,11 @@ mod tests {
     }
 
     fn open(root: &Path) -> Result<ShardSet, IndexError> {
-        ShardSet::open_root(root, ShardSetConfig::default(), &MetricsRegistry::disabled())
+        ShardSet::open_root(
+            root,
+            ShardSetConfig::default(),
+            &MetricsRegistry::disabled(),
+        )
     }
 
     /// Overwrite `root/SHARDS` with `bytes` and report whether the root

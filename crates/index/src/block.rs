@@ -480,15 +480,7 @@ pub(crate) fn verify_block_list(bytes: &[u8], df: u32) -> Result<(), IndexError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::postings::Posting;
-
-    /// A closure visitor that never skips.
-    struct Collect(Vec<(u32, u32)>);
-    impl PostingsVisitor for Collect {
-        fn visit(&mut self, record: u32, value: u32) {
-            self.0.push((record, value));
-        }
-    }
+    use crate::postings::{Posting, RawPostings};
 
     /// A visitor that skips blocks whose range lies in `skip_above..`.
     struct SkipAbove {
@@ -549,7 +541,7 @@ mod tests {
             let lens = vec![1024u32; num_records as usize];
             let bytes = encode_block_postings(&list, Granularity::Offsets);
             assert!(bytes.len() >= skip_table_len(df as u32), "df {df}");
-            let mut v = Collect(Vec::new());
+            let mut v = RawPostings::default();
             let stats = decode_block_stream(
                 &bytes,
                 df as u32,
@@ -565,7 +557,7 @@ mod tests {
                 .iter()
                 .flat_map(|p| p.offsets.iter().map(|&o| (p.record, o)))
                 .collect();
-            assert_eq!(v.0, expect, "df {df}");
+            assert_eq!(v.pairs(), expect, "df {df}");
             assert_eq!(stats.ids_decoded, df as u64);
             assert_eq!(stats.blocks_decoded as usize, df.div_ceil(BLOCK_LEN));
             assert_eq!(stats.blocks_skipped, 0);
@@ -577,7 +569,7 @@ mod tests {
         let list = multi_block_list(300);
         let lens = vec![1024u32; 4096];
         let bytes = encode_block_postings(&list, Granularity::Offsets);
-        let mut v = Collect(Vec::new());
+        let mut v = RawPostings::default();
         decode_block_stream(
             &bytes,
             300,
@@ -593,7 +585,7 @@ mod tests {
             .iter()
             .map(|p| (p.record, p.offsets.len() as u32))
             .collect();
-        assert_eq!(v.0, expect);
+        assert_eq!(v.pairs(), expect);
     }
 
     #[test]
@@ -633,7 +625,7 @@ mod tests {
         let (_, first_end, _) = read_skip_entry(&bytes, 0);
         let victim = skip_len + first_end + 4;
         bytes[victim] ^= 0x10;
-        let mut v = Collect(Vec::new());
+        let mut v = RawPostings::default();
         match decode_block_stream(&bytes, 300, 4096, &lens, Granularity::Offsets, true, &mut v) {
             Err(IndexError::Corruption {
                 section, offset, ..
@@ -654,7 +646,7 @@ mod tests {
         let lens = vec![1024u32; 4096];
         let bytes = encode_block_postings(&list, Granularity::Offsets);
         for cut in 0..bytes.len() {
-            let mut v = Collect(Vec::new());
+            let mut v = RawPostings::default();
             let result = decode_block_stream(
                 &bytes[..cut],
                 260,
@@ -687,7 +679,7 @@ mod tests {
             ],
         };
         let bytes = encode_block_postings(&list, Granularity::Offsets);
-        let mut v = Collect(Vec::new());
+        let mut v = RawPostings::default();
         decode_block_stream(
             &bytes,
             2,
@@ -698,7 +690,7 @@ mod tests {
             &mut v,
         )
         .unwrap();
-        assert_eq!(v.0, vec![(0, 0), (0, 3), (u32::MAX - 1, 7)]);
+        assert_eq!(v.pairs(), vec![(0, 0), (0, 3), (u32::MAX - 1, 7)]);
     }
 
     #[test]
@@ -708,7 +700,7 @@ mod tests {
         let records_only = encode_block_postings(&list, Granularity::Records);
         assert!(records_only.len() < with_offsets.len());
         let lens = vec![1024u32; 4096];
-        let mut v = Collect(Vec::new());
+        let mut v = RawPostings::default();
         decode_block_stream(
             &records_only,
             200,
@@ -724,9 +716,9 @@ mod tests {
             .iter()
             .map(|p| (p.record, p.offsets.len() as u32))
             .collect();
-        assert_eq!(v.0, expect);
+        assert_eq!(v.pairs(), expect);
         // Asking a records-granularity list for offsets is refused.
-        let mut v = Collect(Vec::new());
+        let mut v = RawPostings::default();
         assert!(matches!(
             decode_block_stream(
                 &records_only,

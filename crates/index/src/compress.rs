@@ -210,13 +210,11 @@ pub trait PostingsVisitor {
     }
 }
 
-/// Adapter presenting a plain closure as a never-skipping
+/// A plain `visit(record, value)` closure is a never-skipping
 /// [`PostingsVisitor`].
-struct FnVisitor<F>(F);
-
-impl<F: FnMut(u32, u32)> PostingsVisitor for FnVisitor<F> {
+impl<F: FnMut(u32, u32)> PostingsVisitor for F {
     fn visit(&mut self, record: u32, value: u32) {
-        (self.0)(record, value)
+        self(record, value)
     }
 }
 
@@ -290,7 +288,6 @@ pub fn decode_postings_with<F: FnMut(u32, u32)>(
     mut visit: F,
 ) -> Result<(), IndexError> {
     if codec == ListCodec::Block {
-        let mut visitor = FnVisitor(&mut visit);
         crate::block::decode_block_stream(
             bytes,
             df,
@@ -298,7 +295,7 @@ pub fn decode_postings_with<F: FnMut(u32, u32)>(
             record_lens,
             Granularity::Offsets,
             true,
-            &mut visitor,
+            &mut visit,
         )?;
         return Ok(());
     }
@@ -358,7 +355,6 @@ pub fn decode_counts_with<F: FnMut(u32, u32)>(
     mut visit: F,
 ) -> Result<(), IndexError> {
     if codec == ListCodec::Block {
-        let mut visitor = FnVisitor(&mut visit);
         crate::block::decode_block_stream(
             bytes,
             df,
@@ -366,7 +362,7 @@ pub fn decode_counts_with<F: FnMut(u32, u32)>(
             record_lens,
             granularity,
             false,
-            &mut visitor,
+            &mut visit,
         )?;
         return Ok(());
     }
@@ -472,6 +468,59 @@ pub fn decode_counts(
         },
     )?;
     Ok(out)
+}
+
+/// Stream one stored list through `visitor` and count the work:
+/// `(record, offset)` pairs when `emit_offsets` is set (offset
+/// granularity only), else `(record, count)` pairs. Only a block-coded
+/// list consults the visitor's `skip_block` and reports block counters;
+/// `bytes_read` is the whole list (skipping saves decode work, not I/O).
+pub(crate) fn stream_list(
+    bytes: &[u8],
+    df: u32,
+    record_lens: &[u32],
+    codec: ListCodec,
+    granularity: Granularity,
+    emit_offsets: bool,
+    visitor: &mut dyn PostingsVisitor,
+) -> Result<FetchStats, IndexError> {
+    let num_records = record_lens.len() as u32;
+    let mut stats = FetchStats::plain(df);
+    stats.bytes_read = bytes.len() as u64;
+    if codec == ListCodec::Block {
+        let block = crate::block::decode_block_stream(
+            bytes,
+            df,
+            num_records,
+            record_lens,
+            granularity,
+            emit_offsets,
+            visitor,
+        )?;
+        stats.ids_decoded = block.ids_decoded;
+        stats.blocks_decoded = block.blocks_decoded;
+        stats.blocks_skipped = block.blocks_skipped;
+    } else if emit_offsets {
+        decode_postings_with(
+            bytes,
+            df,
+            num_records,
+            record_lens,
+            codec,
+            |record, offset| visitor.visit(record, offset),
+        )?;
+    } else {
+        decode_counts_with(
+            bytes,
+            df,
+            num_records,
+            record_lens,
+            codec,
+            granularity,
+            |record, count| visitor.visit(record, count),
+        )?;
+    }
+    Ok(stats)
 }
 
 /// Interpolative layout: `interp(record ids) | gamma(count−1)* |
@@ -726,11 +775,25 @@ impl CompressedIndex {
         self.vocab
             .iter()
             .map(|entry| {
-                let mut max_count = 0u32;
-                self.counts_with(entry.code, |_, count| max_count = max_count.max(count))?;
-                Ok(max_count)
+                let counts = self.counts(entry.code)?.unwrap_or_default();
+                Ok(counts.iter().map(|&(_, count)| count).max().unwrap_or(0))
             })
             .collect()
+    }
+
+    /// The compressed bytes of `entry`'s list.
+    fn list_bytes(&self, entry: &VocabEntry) -> &[u8] {
+        &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize]
+    }
+
+    /// Refuse an offsets fetch from a record-granularity index.
+    fn require_offsets(&self) -> Result<(), IndexError> {
+        if self.params.granularity == Granularity::Records {
+            return Err(IndexError::Unsupported(
+                "record-granularity index stores no offsets",
+            ));
+        }
+        Ok(())
     }
 
     /// Streaming postings fetch driving a [`PostingsVisitor`] and
@@ -742,41 +805,8 @@ impl CompressedIndex {
         code: u64,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        if self.params.granularity == Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
-        let Some(entry) = self.entry(code) else {
-            return Ok(None);
-        };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
-        let mut stats = FetchStats::plain(entry.df);
-        stats.bytes_read = entry.len as u64;
-        if self.codec == ListCodec::Block {
-            let block = crate::block::decode_block_stream(
-                bytes,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                Granularity::Offsets,
-                true,
-                visitor,
-            )?;
-            stats.ids_decoded = block.ids_decoded;
-            stats.blocks_decoded = block.blocks_decoded;
-            stats.blocks_skipped = block.blocks_skipped;
-        } else {
-            decode_postings_with(
-                bytes,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.codec,
-                |record, offset| visitor.visit(record, offset),
-            )?;
-        }
-        Ok(Some(stats))
+        self.require_offsets()?;
+        self.stream(code, true, visitor)
     }
 
     /// Streaming counts fetch: the counts-path twin of
@@ -787,54 +817,41 @@ impl CompressedIndex {
         code: u64,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
+        self.stream(code, false, visitor)
+    }
+
+    /// Look up `code` and stream its list through [`stream_list`].
+    fn stream(
+        &self,
+        code: u64,
+        emit_offsets: bool,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
         let Some(entry) = self.entry(code) else {
             return Ok(None);
         };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
-        let mut stats = FetchStats::plain(entry.df);
-        stats.bytes_read = entry.len as u64;
-        if self.codec == ListCodec::Block {
-            let block = crate::block::decode_block_stream(
-                bytes,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.params.granularity,
-                false,
-                visitor,
-            )?;
-            stats.ids_decoded = block.ids_decoded;
-            stats.blocks_decoded = block.blocks_decoded;
-            stats.blocks_skipped = block.blocks_skipped;
-        } else {
-            decode_counts_with(
-                bytes,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.codec,
-                self.params.granularity,
-                |record, count| visitor.visit(record, count),
-            )?;
-        }
-        Ok(Some(stats))
+        stream_list(
+            self.list_bytes(entry),
+            entry.df,
+            &self.record_lens,
+            self.codec,
+            self.params.granularity,
+            emit_offsets,
+            visitor,
+        )
+        .map(Some)
     }
 
     /// Decode the postings list for `code`; `Ok(None)` if the interval is
     /// absent (never indexed, or stopped). Errors on a record-granularity
     /// index, which stores no offsets — use [`CompressedIndex::counts`].
     pub fn postings(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
-        if self.params.granularity == Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
+        self.require_offsets()?;
         let Some(entry) = self.entry(code) else {
             return Ok(None);
         };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
         decode_postings(
-            bytes,
+            self.list_bytes(entry),
             entry.df,
             self.num_records(),
             &self.record_lens,
@@ -843,68 +860,14 @@ impl CompressedIndex {
         .map(Some)
     }
 
-    /// Streaming variant of [`CompressedIndex::postings`]: calls
-    /// `visit(record, offset)` per posting without materialising a list,
-    /// returning the list's `df` (`Ok(None)` if the interval is absent).
-    pub fn postings_with<F: FnMut(u32, u32)>(
-        &self,
-        code: u64,
-        visit: F,
-    ) -> Result<Option<u32>, IndexError> {
-        if self.params.granularity == Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
-        let Some(entry) = self.entry(code) else {
-            return Ok(None);
-        };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
-        decode_postings_with(
-            bytes,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            visit,
-        )?;
-        Ok(Some(entry.df))
-    }
-
-    /// Streaming variant of [`CompressedIndex::counts`]: calls
-    /// `visit(record, count)` per entry, returning the list's `df`
-    /// (`Ok(None)` if the interval is absent). Works at either
-    /// granularity.
-    pub fn counts_with<F: FnMut(u32, u32)>(
-        &self,
-        code: u64,
-        visit: F,
-    ) -> Result<Option<u32>, IndexError> {
-        let Some(entry) = self.entry(code) else {
-            return Ok(None);
-        };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
-        decode_counts_with(
-            bytes,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            self.params.granularity,
-            visit,
-        )?;
-        Ok(Some(entry.df))
-    }
-
     /// Decode `(record, occurrence count)` pairs for `code`; `Ok(None)`
     /// if the interval is absent. Works at either granularity.
     pub fn counts(&self, code: u64) -> Result<Option<Vec<(u32, u32)>>, IndexError> {
         let Some(entry) = self.entry(code) else {
             return Ok(None);
         };
-        let bytes = &self.blob[entry.offset as usize..(entry.offset + entry.len as u64) as usize];
         decode_counts(
-            bytes,
+            self.list_bytes(entry),
             entry.df,
             self.num_records(),
             &self.record_lens,
@@ -972,6 +935,7 @@ impl CompressedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::RawPostings;
 
     fn sample_list() -> PostingsList {
         PostingsList {
@@ -1282,13 +1246,7 @@ mod tests {
         assert_eq!(index.list_max_count(999), Some(0));
         assert_eq!(index.max_counts_or_compute().unwrap(), vec![3]);
 
-        struct Collect(Vec<(u32, u32)>);
-        impl PostingsVisitor for Collect {
-            fn visit(&mut self, record: u32, value: u32) {
-                self.0.push((record, value));
-            }
-        }
-        let mut visitor = Collect(Vec::new());
+        let mut visitor = RawPostings::default();
         let stats = index.postings_stream(3, &mut visitor).unwrap().unwrap();
         assert_eq!(stats.df, 4);
         assert_eq!(stats.ids_decoded, 4);
@@ -1300,7 +1258,7 @@ mod tests {
             .iter()
             .flat_map(|p| p.offsets.iter().map(|&o| (p.record, o)))
             .collect();
-        assert_eq!(visitor.0, expect);
+        assert_eq!(visitor.pairs(), expect);
 
         // A paper-codec build has no max-count hints but still streams.
         let paper = CompressedIndex::from_sorted_lists(
@@ -1310,11 +1268,11 @@ mod tests {
             vec![(3u64, sample_list())].into_iter(),
         );
         assert_eq!(paper.list_max_count(3), None);
-        let mut visitor = Collect(Vec::new());
+        let mut visitor = RawPostings::default();
         let stats = paper.postings_stream(3, &mut visitor).unwrap().unwrap();
         assert_eq!(stats.ids_decoded, 4);
         assert_eq!(stats.blocks_decoded, 0);
-        assert_eq!(visitor.0, expect);
+        assert_eq!(visitor.pairs(), expect);
         assert_eq!(paper.max_counts_or_compute().unwrap(), vec![3]);
     }
 

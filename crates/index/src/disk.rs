@@ -53,8 +53,8 @@ use std::path::Path;
 use nucdb_obs::{Counter, MetricsRegistry};
 
 use crate::compress::{
-    decode_counts_with, decode_postings, decode_postings_with, CompressedIndex, FetchStats,
-    ListCodec, PostingsVisitor, VocabEntry,
+    decode_counts_with, decode_postings, stream_list, CompressedIndex, FetchStats, ListCodec,
+    PostingsVisitor, VocabEntry,
 };
 use crate::durable::{crc32, read_exact_chunked, AtomicFile, CountingReader};
 use crate::error::IndexError;
@@ -668,14 +668,20 @@ impl OnDiskIndex {
         Ok(bytes)
     }
 
-    /// Fetch and decode the list for `code`. Errors on a
-    /// record-granularity index; use [`OnDiskIndex::counts`] there.
-    pub fn postings(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
+    /// Refuse an offsets fetch from a record-granularity index.
+    fn require_offsets(&self) -> Result<(), IndexError> {
         if self.params.granularity == crate::interval::Granularity::Records {
             return Err(IndexError::Unsupported(
                 "record-granularity index stores no offsets",
             ));
         }
+        Ok(())
+    }
+
+    /// Fetch and decode the list for `code`. Errors on a
+    /// record-granularity index; use [`OnDiskIndex::counts`] there.
+    pub fn postings(&self, code: u64) -> Result<Option<PostingsList>, IndexError> {
+        self.require_offsets()?;
         let Some((idx, entry)) = self.entry(code) else {
             return Ok(None);
         };
@@ -689,37 +695,6 @@ impl OnDiskIndex {
         )
         .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))
         .map(Some)
-    }
-
-    /// Streaming variant of [`OnDiskIndex::postings`]: fetch into `io_buf`
-    /// (reused across calls) and call `visit(record, offset)` per posting
-    /// without materialising a list. Returns the list's `df`, `Ok(None)`
-    /// if the interval is absent.
-    pub fn postings_with<F: FnMut(u32, u32)>(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: F,
-    ) -> Result<Option<u32>, IndexError> {
-        if self.params.granularity == crate::interval::Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
-        let Some((idx, entry)) = self.entry(code) else {
-            return Ok(None);
-        };
-        self.fetch_bytes_into(idx, entry, io_buf)?;
-        decode_postings_with(
-            io_buf,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            visit,
-        )
-        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-        Ok(Some(entry.df))
     }
 
     /// Fetch and decode `(record, count)` pairs for `code` (either
@@ -741,32 +716,6 @@ impl OnDiskIndex {
         .map(Some)
     }
 
-    /// Streaming variant of [`OnDiskIndex::counts`]: fetch into `io_buf`
-    /// and call `visit(record, count)` per entry. Returns the list's `df`,
-    /// `Ok(None)` if the interval is absent.
-    pub fn counts_with<F: FnMut(u32, u32)>(
-        &self,
-        code: u64,
-        io_buf: &mut Vec<u8>,
-        visit: F,
-    ) -> Result<Option<u32>, IndexError> {
-        let Some((idx, entry)) = self.entry(code) else {
-            return Ok(None);
-        };
-        self.fetch_bytes_into(idx, entry, io_buf)?;
-        decode_counts_with(
-            io_buf,
-            entry.df,
-            self.num_records(),
-            &self.record_lens,
-            self.codec,
-            self.params.granularity,
-            visit,
-        )
-        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-        Ok(Some(entry.df))
-    }
-
     /// The largest per-record occurrence count in `code`'s list — v4
     /// files store this per list; `None` on older formats, `Some(0)` for
     /// absent codes.
@@ -781,49 +730,16 @@ impl OnDiskIndex {
     /// Streaming postings fetch driving a [`PostingsVisitor`], reporting
     /// per-list work counters; on a block (v4) index the visitor's
     /// `skip_block` may refuse hopeless blocks before they are verified
-    /// or unpacked. `Ok(None)` if the interval is absent.
+    /// or unpacked. `io_buf` is reused across calls for the list bytes.
+    /// `Ok(None)` if the interval is absent.
     pub fn postings_stream(
         &self,
         code: u64,
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
-        if self.params.granularity == crate::interval::Granularity::Records {
-            return Err(IndexError::Unsupported(
-                "record-granularity index stores no offsets",
-            ));
-        }
-        let Some((idx, entry)) = self.entry(code) else {
-            return Ok(None);
-        };
-        self.fetch_bytes_into(idx, entry, io_buf)?;
-        let mut stats = FetchStats::plain(entry.df);
-        stats.bytes_read = entry.len as u64;
-        if self.codec == ListCodec::Block {
-            let block = crate::block::decode_block_stream(
-                io_buf,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                crate::interval::Granularity::Offsets,
-                true,
-                visitor,
-            )
-            .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-            stats.ids_decoded = block.ids_decoded;
-            stats.blocks_decoded = block.blocks_decoded;
-            stats.blocks_skipped = block.blocks_skipped;
-        } else {
-            decode_postings_with(
-                io_buf,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.codec,
-                |record, offset| visitor.visit(record, offset),
-            )?;
-        }
-        Ok(Some(stats))
+        self.require_offsets()?;
+        self.stream(code, io_buf, true, visitor)
     }
 
     /// Streaming counts fetch: the counts-path twin of
@@ -834,38 +750,32 @@ impl OnDiskIndex {
         io_buf: &mut Vec<u8>,
         visitor: &mut dyn PostingsVisitor,
     ) -> Result<Option<FetchStats>, IndexError> {
+        self.stream(code, io_buf, false, visitor)
+    }
+
+    /// Look up `code` and stream its list through [`stream_list`].
+    fn stream(
+        &self,
+        code: u64,
+        io_buf: &mut Vec<u8>,
+        emit_offsets: bool,
+        visitor: &mut dyn PostingsVisitor,
+    ) -> Result<Option<FetchStats>, IndexError> {
         let Some((idx, entry)) = self.entry(code) else {
             return Ok(None);
         };
         self.fetch_bytes_into(idx, entry, io_buf)?;
-        let mut stats = FetchStats::plain(entry.df);
-        stats.bytes_read = entry.len as u64;
-        if self.codec == ListCodec::Block {
-            let block = crate::block::decode_block_stream(
-                io_buf,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.params.granularity,
-                false,
-                visitor,
-            )
-            .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))?;
-            stats.ids_decoded = block.ids_decoded;
-            stats.blocks_decoded = block.blocks_decoded;
-            stats.blocks_skipped = block.blocks_skipped;
-        } else {
-            decode_counts_with(
-                io_buf,
-                entry.df,
-                self.num_records(),
-                &self.record_lens,
-                self.codec,
-                self.params.granularity,
-                |record, count| visitor.visit(record, count),
-            )?;
-        }
-        Ok(Some(stats))
+        stream_list(
+            io_buf,
+            entry.df,
+            &self.record_lens,
+            self.codec,
+            self.params.granularity,
+            emit_offsets,
+            visitor,
+        )
+        .map_err(|e| e.with_base_offset(self.blob_start + entry.offset))
+        .map(Some)
     }
 
     /// Postings bytes fetched since the last reset.
@@ -1133,9 +1043,10 @@ mod tests {
             let materialized = disk.postings(entry.code).unwrap().unwrap();
             let mut streamed: Vec<(u32, u32)> = Vec::new();
             let df = disk
-                .postings_with(entry.code, &mut io_buf, |r, o| streamed.push((r, o)))
+                .postings_stream(entry.code, &mut io_buf, &mut |r, o| streamed.push((r, o)))
                 .unwrap()
-                .unwrap();
+                .unwrap()
+                .df;
             assert_eq!(df, entry.df);
             let expect: Vec<(u32, u32)> = materialized
                 .entries
@@ -1146,13 +1057,15 @@ mod tests {
 
             let counts = disk.counts(entry.code).unwrap().unwrap();
             let mut streamed_counts: Vec<(u32, u32)> = Vec::new();
-            disk.counts_with(entry.code, &mut io_buf, |r, c| streamed_counts.push((r, c)))
-                .unwrap()
-                .unwrap();
+            disk.counts_stream(entry.code, &mut io_buf, &mut |r, c| {
+                streamed_counts.push((r, c))
+            })
+            .unwrap()
+            .unwrap();
             assert_eq!(streamed_counts, counts, "code {}", entry.code);
         }
         assert!(disk
-            .postings_with(u64::MAX, &mut io_buf, |_, _| {})
+            .postings_stream(u64::MAX, &mut io_buf, &mut |_, _| {})
             .unwrap()
             .is_none());
         let _ = std::fs::remove_file(&path);
@@ -1331,15 +1244,9 @@ mod tests {
         let path = temp_path("v4strm");
         write_index(&index, &path).unwrap();
         let disk = OnDiskIndex::open(&path).unwrap();
-        struct Collect(Vec<(u32, u32)>);
-        impl PostingsVisitor for Collect {
-            fn visit(&mut self, record: u32, value: u32) {
-                self.0.push((record, value));
-            }
-        }
         let mut io_buf = Vec::new();
         for entry in index.vocab().iter().step_by(9) {
-            let mut visitor = Collect(Vec::new());
+            let mut visitor = crate::postings::RawPostings::default();
             let stats = disk
                 .postings_stream(entry.code, &mut io_buf, &mut visitor)
                 .unwrap()
@@ -1359,7 +1266,7 @@ mod tests {
                 .iter()
                 .flat_map(|p| p.offsets.iter().map(move |&o| (p.record, o)))
                 .collect();
-            assert_eq!(visitor.0, expect);
+            assert_eq!(visitor.pairs(), expect);
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -43,7 +43,11 @@
 //! Decoding comes in two shapes: materialising (`decode_postings`,
 //! `decode_counts`) and streaming (`decode_postings_with`,
 //! `decode_counts_with`), the latter driving a visitor per entry so the
-//! hot coarse-search path never allocates per-list structures.
+//! hot coarse-search path never allocates per-list structures. The
+//! indexes fetch one list either way: materialising (`postings`,
+//! `counts`) or through a [`PostingsVisitor`] (`postings_stream`,
+//! `counts_stream`); a plain closure is a visitor, and [`RawPostings`]
+//! is the collecting one.
 
 #![warn(missing_docs)]
 
@@ -75,7 +79,7 @@ pub use fault::{FaultPlan, FaultyFile, FaultyReader};
 pub use interval::{Granularity, IndexParams};
 pub use manifest::{shard_dir_name, Manifest, SegmentMeta, MANIFEST_FILE, SHARD_MANIFEST_FILE};
 pub use merge::{apply_stopping, merge_indexes};
-pub use postings::{Posting, PostingsList};
+pub use postings::{Posting, PostingsList, RawPostings};
 pub use pread::{PositionalReader, TRANSIENT_RETRY_LIMIT};
 pub use stats::IndexStats;
 pub use stopping::StopPolicy;

@@ -1,5 +1,7 @@
 //! Decoded postings lists and the raw in-memory accumulation form.
 
+use crate::compress::PostingsVisitor;
+
 /// One record's entry in an interval's postings list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Posting {
@@ -43,6 +45,10 @@ impl PostingsList {
 /// pairs in insertion order. Construction visits records in ascending id
 /// order and offsets ascend within a record, so the flat form is already
 /// sorted and converts to a [`PostingsList`] in one pass.
+///
+/// It is also the collecting [`PostingsVisitor`]: a streamed fetch
+/// visited into it yields the list's `(record, offset)` or
+/// `(record, count)` pairs, which ascend the same way.
 #[derive(Debug, Clone, Default)]
 pub struct RawPostings {
     pairs: Vec<(u32, u32)>,
@@ -89,6 +95,11 @@ impl RawPostings {
         &self.pairs
     }
 
+    /// The raw pairs, by value.
+    pub fn into_pairs(self) -> Vec<(u32, u32)> {
+        self.pairs
+    }
+
     /// Group into a decoded [`PostingsList`].
     pub fn into_list(self) -> PostingsList {
         let mut entries: Vec<Posting> = Vec::new();
@@ -104,6 +115,12 @@ impl RawPostings {
         let list = PostingsList { entries };
         debug_assert!(list.is_well_formed());
         list
+    }
+}
+
+impl PostingsVisitor for RawPostings {
+    fn visit(&mut self, record: u32, value: u32) {
+        self.push(record, value);
     }
 }
 

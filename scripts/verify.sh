@@ -16,7 +16,8 @@ cargo test -q -p nucdb --test explain_and_health
 cargo test -q -p nucdb --test sharding
 cargo test -q -p nucdb-serve --test shard_e2e
 cargo test -q -p nucdb-cli --test layouts
-cargo clippy --workspace -- -D warnings
+# Lint test, bench and example targets too, not only the libraries.
+cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark is a Cargo package of its own over the repository's
 # crates: build and test it here, so a core or serve API change that
 # breaks it fails verification rather than a benchmark run.

@@ -1,11 +1,15 @@
 //! Cross-crate property tests: invariants that tie the sequence, codec,
 //! index, alignment, and engine layers together.
 
-use nucdb::{coarse_rank, Database, DbConfig, SearchParams};
+use std::sync::Arc;
+
+use nucdb::{
+    coarse_rank, Database, DbConfig, IndexVariant, PostingsSource, SearchParams, SegmentedIndex,
+};
 use nucdb_align::{banded_sw_score, sw_score, ScoringScheme};
 use nucdb_index::{
     load_index, write_index, write_index_v2, CompressedIndex, Granularity, IndexBuilder,
-    IndexParams, ListCodec, StopPolicy,
+    IndexError, IndexParams, ListCodec, OnDiskIndex, StopPolicy,
 };
 use nucdb_seq::{DnaSeq, PackedSeq};
 use proptest::prelude::*;
@@ -49,6 +53,26 @@ fn unique_path(tag: &str) -> std::path::PathBuf {
         std::process::id(),
         NONCE.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+fn every_codec() -> impl Strategy<Value = ListCodec> {
+    prop::sample::select(vec![
+        ListCodec::Paper,
+        ListCodec::Gamma,
+        ListCodec::Delta,
+        ListCodec::VByte,
+        ListCodec::Fixed,
+        ListCodec::Interp,
+        ListCodec::Block,
+    ])
+}
+
+fn build_index(records: &[Vec<u8>], params: &IndexParams, codec: ListCodec) -> CompressedIndex {
+    let mut builder = IndexBuilder::new(params.clone()).with_codec(codec);
+    for r in records {
+        builder.add_record(&DnaSeq::from_ascii(r).unwrap().representative_bases());
+    }
+    builder.finish()
 }
 
 fn index_fields_equal(a: &CompressedIndex, b: &CompressedIndex) -> bool {
@@ -227,6 +251,79 @@ proptest! {
                 prop_assert_eq!(mutated.id(r), store.id(r));
             }
         }
+    }
+
+    #[test]
+    fn provided_fetches_match_the_joint_build(
+        records in prop::collection::vec(dna_ascii(10..120), 2..12),
+        split in 1usize..11,
+        codec in every_codec(),
+        granularity in any_granularity(),
+    ) {
+        // The provided fetch methods of `PostingsSource` sit on the
+        // visitor stream; over the memory, disk and segmented variants
+        // they must return what the joint build decodes, the segmented
+        // view shifting each part's ids by its base.
+        let split = split.min(records.len() - 1);
+        let params = IndexParams { granularity, ..IndexParams::new(6) };
+        let joint = build_index(&records, &params, codec);
+        let joint_path = unique_path("fetch_joint");
+        let head_path = unique_path("fetch_head");
+        write_index(&joint, &joint_path).unwrap();
+        write_index(&build_index(&records[..split], &params, codec), &head_path).unwrap();
+        let head: Arc<dyn PostingsSource + Send + Sync> =
+            Arc::new(OnDiskIndex::open(&head_path).unwrap());
+        let tail: Arc<dyn PostingsSource + Send + Sync> =
+            Arc::new(build_index(&records[split..], &params, codec));
+        let sources = [
+            IndexVariant::Memory(joint.clone()),
+            IndexVariant::Disk(OnDiskIndex::open(&joint_path).unwrap()),
+            IndexVariant::Segmented(
+                SegmentedIndex::new(vec![("seg".to_string(), head), ("memtable".to_string(), tail)])
+                    .unwrap(),
+            ),
+        ];
+        let mut io_buf = Vec::new();
+        let codes = joint.vocab().iter().map(|e| e.code).chain([u64::MAX]);
+        for code in codes {
+            let counts = joint.counts(code).unwrap();
+            let postings = joint.postings(code);
+            for source in &sources {
+                prop_assert_eq!(&source.fetch_counts(code).unwrap(), &counts);
+                let mut seen = Vec::new();
+                let df = source
+                    .fetch_counts_with(code, &mut io_buf, &mut |r, c| seen.push((r, c)))
+                    .unwrap();
+                prop_assert_eq!(df, counts.as_ref().map(|c| c.len() as u32));
+                prop_assert_eq!(&seen, counts.as_deref().unwrap_or(&[]));
+
+                let mut seen = Vec::new();
+                let fetched =
+                    source.fetch_with(code, &mut io_buf, &mut |r, o| seen.push((r, o)));
+                match &postings {
+                    Ok(list) => {
+                        prop_assert_eq!(&source.fetch(code).unwrap(), list);
+                        prop_assert_eq!(fetched.unwrap(), list.as_ref().map(|l| l.df() as u32));
+                        let pairs: Vec<(u32, u32)> = list
+                            .iter()
+                            .flat_map(|l| &l.entries)
+                            .flat_map(|p| p.offsets.iter().map(move |&o| (p.record, o)))
+                            .collect();
+                        prop_assert_eq!(seen, pairs);
+                    }
+                    Err(refused) => {
+                        // Record granularity: every source refuses alike.
+                        prop_assert!(matches!(refused, IndexError::Unsupported(_)));
+                        let refused = refused.to_string();
+                        let fetch_refused = source.fetch(code).unwrap_err().to_string();
+                        prop_assert_eq!(fetch_refused, refused.clone());
+                        prop_assert_eq!(fetched.unwrap_err().to_string(), refused);
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&joint_path);
+        let _ = std::fs::remove_file(&head_path);
     }
 
     #[test]

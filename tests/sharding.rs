@@ -4,7 +4,7 @@
 //! and a set with one shard down must keep answering, with `coverage`
 //! reporting the loss and the surviving shards' answers unchanged.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -559,7 +559,7 @@ fn a_panicking_shard_fails_one_query_and_recovers() {
     assert_eq!(sharded_answers(&set, &queries[1..], &params), want[1..]);
 }
 
-fn copy_tree(from: &PathBuf, to: &PathBuf) {
+fn copy_tree(from: &Path, to: &Path) {
     for entry in std::fs::read_dir(from).unwrap() {
         let entry = entry.unwrap();
         let target = to.join(entry.file_name());
